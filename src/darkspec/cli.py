@@ -21,7 +21,6 @@ import numpy as np
 
 from . import oracles
 from .config import (
-    ComponentSpec,
     ExperimentConfig,
     detection_profile,
     engine_config,
@@ -126,17 +125,14 @@ def _write_report(report: Report, cfg: ExperimentConfig, filename: str, title: s
 # simulate
 
 
-def _simulate_terminals(spec: ComponentSpec, horizon: float, reps: int, seed: int):
-    component = spec.component
-    terminals = np.empty(reps)
-    paths = []
-    for i in range(reps):
-        path = sample_path(
-            component, horizon, derive_seed(seed, component.component_id, i)
+def _component_paths(component, horizon: float, cfg: ExperimentConfig):
+    """The paths ``sample_paths(component, horizon, cfg.seed, cfg.reps)`` gives,
+    drawn through this module's ``sample_path`` and ``derive_seed`` names so
+    that ``perfbench/tracer.py`` can count them."""
+    for i in range(cfg.reps):
+        yield sample_path(
+            component, horizon, derive_seed(cfg.seed, component.component_id, i)
         )
-        terminals[i] = path.terminal_value
-        paths.append(path)
-    return paths, terminals
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -146,16 +142,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     rows = []
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "paths.csv", "w", encoding="utf-8") as out:
-        all_paths = []
-        per_component = {}
-        for spec in specs:
-            paths, terminals = _simulate_terminals(spec, horizon, cfg.reps, cfg.seed)
-            all_paths.extend(paths)
-            per_component[spec.component.component_id] = terminals
-        write_paths_csv(all_paths, out)
-    for spec in specs:
+        per_component = [
+            list(_component_paths(spec.component, horizon, cfg)) for spec in specs
+        ]
+        write_paths_csv([path for paths in per_component for path in paths], out)
+    for spec, paths in zip(specs, per_component):
         component = spec.component
-        terminals = per_component[component.component_id]
+        terminals = np.array([path.terminal_value for path in paths])
         moments = theoretical_moments(component, horizon)
         emp_mean = float(np.mean(terminals))
         se = (
@@ -197,12 +190,9 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
     estimates = []
     for spec in specs:
         component = spec.component
-        pooled = []
-        for i in range(cfg.reps):
-            path = sample_path(
-                component, horizon, derive_seed(cfg.seed, component.component_id, i)
-            )
-            pooled.extend(path.jump_sizes.tolist())
+        pooled = np.concatenate(
+            [path.jump_sizes for path in _component_paths(component, horizon, cfg)]
+        )
         window = cfg.reps * (horizon - component.commencement)
         estimate = estimate_from_observation(component.component_id, pooled, window)
         estimates.append(estimate)
@@ -290,13 +280,21 @@ def cmd_gap_study(cfg: ExperimentConfig) -> int:
 # narrative check
 
 
+def _read_narrative(name: str) -> str:
+    try:
+        return Path(name).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"narrative file {name} is not UTF-8: {exc.reason} at byte {exc.start}"
+        ) from exc
+
+
 def cmd_narrative_check(cfg: ExperimentConfig) -> int:
     if not cfg.files:
         raise ConfigError("narrative-check needs at least one narrative file")
     any_violations = False
     for name in cfg.files:
-        text = Path(name).read_text(encoding="utf-8")
-        narrative = parse_narrative(text)
+        narrative = parse_narrative(_read_narrative(name))
         report = validate(narrative)
         if report.ok:
             print(
@@ -320,7 +318,7 @@ def cmd_run_process(cfg: ExperimentConfig) -> int:
         raise ConfigError("run-process needs at least one narrative file")
     narratives = []
     for name in cfg.files:
-        narrative = parse_narrative(Path(name).read_text(encoding="utf-8"))
+        narrative = parse_narrative(_read_narrative(name))
         report = validate(narrative)
         if not report.ok:
             # abort before round 1, listing every violation
@@ -374,7 +372,11 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     rho = _as_float(cfg.values, "stopping.rho", 1.0)
     if "stopping.utilities" in cfg.values:
-        utilities = [float(u) for u in cfg.values["stopping.utilities"].split(",")]
+        text = cfg.values["stopping.utilities"]
+        try:
+            utilities = [float(u) for u in text.split(",")]
+        except ValueError:
+            raise ConfigError(f"key 'stopping.utilities' must be numbers, got {text!r}")
         gate_utilities = None
     else:
         horizon = int(_as_float(cfg.values, "stopping.R_max", 20))

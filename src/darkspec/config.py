@@ -229,10 +229,18 @@ class ScriptedRound:
     sponsored: bool
 
 
+def _round_index(key: str) -> int:
+    text = key.split(".", 2)[1]
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: round index must be an integer, got {text!r}")
+
+
 def scripted_rounds(values: Mapping[str, str]) -> list[ScriptedRound]:
     indices = sorted(
         {
-            int(key.split(".", 2)[1])
+            _round_index(key)
             for key in values
             if key.startswith("round.") and key.count(".") >= 2
         }

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, NarrativeInvalidError, ParameterError, RoundAbortedError
 from .estimation import (
@@ -250,8 +250,6 @@ class HyperEstimate:
 @dataclass(frozen=True)
 class RedLineConfig:
     nu_star: float
-    hyper: Mapping[int, HyperEstimate] = field(default_factory=dict)
-    round_error: float = 0.0
 
     def __post_init__(self):
         if not self.nu_star > 0.0 or not math.isfinite(self.nu_star):
@@ -648,18 +646,22 @@ def record_from_dict(data: dict) -> RoundRecord:
     )
 
 
+def _ledger_line(record: RoundRecord) -> str:
+    return json.dumps(record_to_dict(record), sort_keys=True) + "\n"
+
+
 def write_ledger(ledger: RoundLedger, path: str | Path) -> None:
     """Persist a whole ledger: one JSON object per round, one per line."""
     with open(path, "w", encoding="utf-8") as out:
         for record in ledger.records:
-            out.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
+            out.write(_ledger_line(record))
 
 
 def append_record(record: RoundRecord, path: str | Path) -> None:
     """Append one round to a ledger file; the on-disk format is append-only,
     so a live process can persist each round as it completes."""
     with open(path, "a", encoding="utf-8") as out:
-        out.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
+        out.write(_ledger_line(record))
 
 
 def read_ledger(path: str | Path) -> RoundLedger:

@@ -70,7 +70,9 @@ class LogNormal(SeverityDistribution):
     family = "lognormal"
 
     def __post_init__(self):
-        _require_positive("mu", self.mu)
+        # mu is a log-scale location: any finite real is valid
+        if not math.isfinite(self.mu):
+            raise ParameterError(f"mu must be a finite real, got {self.mu!r}")
         _require_positive("sigma", self.sigma)
 
     def mean(self) -> float:

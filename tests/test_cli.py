@@ -1,12 +1,17 @@
 """CLI behavior: exit codes, determinism, file outputs."""
 
 import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
 from darkspec.cli import main
+from darkspec.config import load_config_file, parse_components
 from darkspec.engine import read_ledger
+from darkspec.estimation import estimate_from_observation, write_estimates_csv
+from darkspec.process import sample_paths, write_paths_csv
 
 
 def write_config(path, text):
@@ -58,6 +63,21 @@ round.2.lambda_hat = 1.0
 round.2.xi_hat = 2.0
 round.3.lambda_hat = 0.25
 round.3.xi_hat = 8.0
+"""
+
+TWO_COMPONENTS = """
+horizon = 8.0
+component.a.drift = 0.5
+component.a.diffusion = 1.0
+component.a.jump_rate = 1.5
+component.a.severity = exponential
+component.a.severity_mean = 2.0
+component.b.diffusion = 0.3
+component.b.jump_rate = 0.4
+component.b.severity = pareto
+component.b.severity_scale = 1.0
+component.b.severity_shape = 3.0
+component.b.commencement = 2.0
 """
 
 STOPPING_GEOMETRIC = """
@@ -142,6 +162,51 @@ class TestEstimate:
         assert rows[0]["component_id"] == "a"
         assert rows[0]["source"] == "observed"
         assert float(rows[0]["window"]) == 300 * 20.0
+
+
+class TestLibraryStreams:
+    """simulate and estimate draw exactly the paths sample_paths gives."""
+
+    HORIZON = 8.0
+    REPS = 40
+    SEED = 17
+
+    def run(self, tmp_path, command):
+        cfg = write_config(tmp_path / "c.cfg", TWO_COMPONENTS)
+        out = tmp_path / command
+        code = main([
+            command, "--config", cfg, "--reps", str(self.REPS),
+            "--seed", str(self.SEED), "--out", str(out),
+        ])
+        assert code in (0, 1)  # a tolerance FAIL does not matter here
+        components = [
+            spec.component for spec in parse_components(load_config_file(cfg))
+        ]
+        paths = [
+            sample_paths(component, self.HORIZON, self.SEED, self.REPS)
+            for component in components
+        ]
+        return out, components, paths
+
+    def test_simulate_paths_csv(self, tmp_path):
+        out, _, paths = self.run(tmp_path, "simulate")
+        expected = io.StringIO()
+        write_paths_csv(paths[0] + paths[1], expected)
+        assert (out / "paths.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_estimate_estimates_csv(self, tmp_path):
+        out, components, paths = self.run(tmp_path, "estimate")
+        estimates = [
+            estimate_from_observation(
+                component.component_id,
+                np.concatenate([path.jump_sizes for path in component_paths]),
+                self.REPS * (self.HORIZON - component.commencement),
+            )
+            for component, component_paths in zip(components, paths)
+        ]
+        expected = io.StringIO()
+        write_estimates_csv(estimates, expected)
+        assert (out / "estimates.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestGapStudy:
@@ -397,6 +462,37 @@ class TestStopping:
         code = main(["stopping", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
         assert "gate_vs_brute" in (tmp_path / "out" / "stopping_report.csv").read_text()
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "command, config, narrative, names",
+        [
+            ("stopping", "stopping.utilities = 1,,2\n", None, "stopping.utilities"),
+            ("run-process", RUN_PROCESS + "round.x.lambda_hat = 1.0\n", "atlanta", "round.x"),
+            ("narrative-check", None, b"NARRATIVE \xff\n", "bad.licain"),
+            ("run-process", RUN_PROCESS, b"NARRATIVE \xff\n", "bad.licain"),
+        ],
+        ids=["utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8"],
+    )
+    def test_exit_two_with_one_line(
+        self, tmp_path, capsys, scenario_paths, command, config, narrative, names
+    ):
+        argv = [command, "--out", str(tmp_path / "out")]
+        if config is not None:
+            argv += ["--config", write_config(tmp_path / "c.cfg", config)]
+        if narrative in scenario_paths:
+            argv.append(str(scenario_paths[narrative]))
+        elif narrative is not None:
+            path = tmp_path / "bad.licain"
+            path.write_bytes(narrative)
+            argv.append(str(path))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert names in err
+        assert "Traceback" not in err
 
 
 class TestFlagPrecedence:

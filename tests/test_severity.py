@@ -82,6 +82,13 @@ class TestParameterGuards:
         with pytest.raises(ParameterError):
             Exponential(rate=rate)
 
+    def test_lognormal_mu_is_any_finite_real(self):
+        d = LogNormal(mu=-1.0, sigma=0.5)
+        assert d.mean() == pytest.approx(math.exp(-1.0 + 0.125))
+        for mu in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError):
+                LogNormal(mu=mu, sigma=0.5)
+
     def test_pareto_needs_shape_above_one(self):
         with pytest.raises(ParameterError):
             Pareto(scale=1.0, shape=1.0)
