@@ -38,7 +38,7 @@ from .engine import (
     run_round,
     write_ledger,
 )
-from .errors import ConfigError, DarkspecError, NarrativeSyntaxError
+from .errors import ConfigError, DarkspecError, DomainError, NarrativeSyntaxError
 from .estimation import (
     estimate_from_observation,
     read_estimates_csv,
@@ -329,8 +329,12 @@ def cmd_run_process(cfg: ExperimentConfig) -> int:
     rounds = scripted_rounds(cfg.values)
     observed = []
     if "observed_csv" in cfg.values:
-        with open(cfg.values["observed_csv"], "r", encoding="utf-8") as source:
-            observed = read_estimates_csv(source)
+        name = cfg.values["observed_csv"]
+        try:
+            with open(name, "r", encoding="utf-8") as source:
+                observed = read_estimates_csv(source)
+        except (UnicodeDecodeError, DomainError) as exc:
+            raise ConfigError(f"observed_csv {name}: {exc}") from exc
     ledger = RoundLedger()
     for index, script in enumerate(rounds):
         narrative = narratives[index % len(narratives)]

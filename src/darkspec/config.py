@@ -8,6 +8,7 @@ settings under `cost.*`, `quality.*`, `weights.*`, `redline.*`, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -45,8 +46,14 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line_no}: not UTF-8 ({exc.reason})") from exc
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -69,9 +76,12 @@ def _as_float(values: Mapping[str, str], key: str, default: float | None = None)
             raise ConfigError(f"missing required key {key!r}")
         return default
     try:
-        return float(values[key])
+        value = float(values[key])
     except ValueError:
         raise ConfigError(f"key {key!r} must be a number, got {values[key]!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be a finite number, got {values[key]!r}")
+    return value
 
 
 def _as_int(values: Mapping[str, str], key: str, default: int | None = None) -> int:
@@ -288,8 +298,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
-        if self.tolerance <= 0.0:
-            raise ConfigError(f"tolerance must be > 0, got {self.tolerance}")
+        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
+            raise ConfigError(f"tolerance must be a finite number > 0, got {self.tolerance}")
         referenced = list(self.files)
         if self.values.get("observed_csv"):
             referenced.append(self.values["observed_csv"])

@@ -21,12 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import DomainError, NarrativeInvalidError, ParameterError, RoundAbortedError
-from .estimation import (
-    EstimateSource,
-    PKREResult,
-    RiskEstimate,
-    compute_pkre,
-)
+from .estimation import EstimateSource, RiskEstimate, compute_pkre
 from .narrative import Narrative, validate
 
 LEDGER_SCHEMA_VERSION = 1
@@ -163,7 +158,6 @@ class GateDecision:
     continue_: bool
     lhs: float
     rhs: float
-    noise_variance: float | None = None
 
     @property
     def decision(self) -> str:
@@ -186,14 +180,13 @@ def continuation_variable(
     costs: CostModel,
     happening_count: int,
     round_index: int,
-    quality: NarrativeQuality,
     deltas: RoundDeltas,
 ) -> GateDecision:
     """Variable-cost gate with a concave per-round crowding term.
 
     speculate iff c_write + ln(1 + H) + (ln(R + 2) - ln(R + 1)) <= summed
     deltas, where the caller's second-moment delta was built at this
-    narrative's noise variance (reported back for the record).
+    narrative's noise variance.
     """
     if not costs.variable:
         raise DomainError("variable gate needs a variable-cost model")
@@ -206,12 +199,7 @@ def continuation_variable(
         + math.log1p(happening_count)
         + (math.log(round_index + 2) - math.log(round_index + 1))
     )
-    return GateDecision(
-        continue_=lhs <= deltas.total,
-        lhs=lhs,
-        rhs=deltas.total,
-        noise_variance=quality.noise_variance(happening_count),
-    )
+    return GateDecision(continue_=lhs <= deltas.total, lhs=lhs, rhs=deltas.total)
 
 
 def statistical_delta_new_risk(
@@ -436,7 +424,7 @@ def run_round(
     narrative: Narrative,
     underwriting: Callable[[Narrative], UnderwritingResult],
     observed_feed: Sequence[RiskEstimate],
-    costs: CostModel | EngineConfig,
+    config: EngineConfig,
     benefits: RoundBenefits,
     *,
     sponsored: bool = False,
@@ -448,7 +436,6 @@ def run_round(
     ledger untouched. At most one risk leaves SDS per round, so k_imagined
     never grows by more than one.
     """
-    config = costs if isinstance(costs, EngineConfig) else EngineConfig(costs=costs)
     report = validate(narrative)
     if not report.ok:
         raise NarrativeInvalidError(report.violations)
@@ -490,7 +477,7 @@ def _advance(
     imagined = ledger.imagined_estimates()
     newly_imagined = risk_id not in imagined
     imagined[risk_id] = underwriting.to_estimate(risk_id, round_index)
-    pkre = compute_pkre(list(observed_feed), list(imagined.values()), round_index)
+    pkre = compute_pkre(observed_feed, list(imagined.values()), round_index)
 
     costs = config.costs
     paid = RoundCosts(
@@ -516,9 +503,7 @@ def _advance(
         option=benefits.option - (previous.benefits.option if previous else 0.0),
     )
     if costs.variable:
-        gate = continuation_variable(
-            costs, happening_count, round_index, config.quality, deltas
-        )
+        gate = continuation_variable(costs, happening_count, round_index, deltas)
     else:
         gate = continuation_constant(costs, deltas)
 

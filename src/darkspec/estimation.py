@@ -198,14 +198,6 @@ def estimate_loss_variance(estimate: RiskEstimate, *, form: str = "mgf") -> floa
 
 
 @dataclass(frozen=True)
-class PKREComponent:
-    component_id: str
-    source: EstimateSource
-    loss_rate: float
-    loss_variance: float
-
-
-@dataclass(frozen=True)
 class PKREResult:
     """Additive loss totals over the observed and imagined estimate sets."""
 
@@ -214,7 +206,6 @@ class PKREResult:
     imagined_total: float
     total: float
     variance: float
-    components: tuple[PKREComponent, ...]
 
 
 def _check_unique(estimates: Sequence[RiskEstimate], label: str) -> None:
@@ -230,29 +221,18 @@ def compute_pkre(
     imagined: Sequence[RiskEstimate],
     round_index: int,
 ) -> PKREResult:
-    """Total expected jump loss and its variance over both estimate sets."""
+    """Total expected jump loss and its variance over both estimate sets; each
+    total is a ``math.fsum``, so it is correctly rounded whatever the grouping."""
     _check_unique(observed, "observed")
     _check_unique(imagined, "imagined")
-    rows = []
-    for est in list(observed) + list(imagined):
-        rows.append(
-            PKREComponent(
-                component_id=est.component_id,
-                source=est.source,
-                loss_rate=expected_jump_loss(est),
-                loss_variance=estimate_loss_variance(est),
-            )
-        )
-    n_obs = len(observed)
-    observed_total = math.fsum(r.loss_rate for r in rows[:n_obs])
-    imagined_total = math.fsum(r.loss_rate for r in rows[n_obs:])
+    observed_rates = [expected_jump_loss(est) for est in observed]
+    imagined_rates = [expected_jump_loss(est) for est in imagined]
     return PKREResult(
         round=round_index,
-        observed_total=observed_total,
-        imagined_total=imagined_total,
-        total=math.fsum(r.loss_rate for r in rows),
-        variance=math.fsum(r.loss_variance for r in rows),
-        components=tuple(rows),
+        observed_total=math.fsum(observed_rates),
+        imagined_total=math.fsum(imagined_rates),
+        total=math.fsum(observed_rates + imagined_rates),
+        variance=math.fsum(estimate_loss_variance(e) for e in (*observed, *imagined)),
     )
 
 
@@ -280,21 +260,40 @@ def write_estimates_csv(estimates: Iterable[RiskEstimate], out: IO[str]) -> None
         )
 
 
+def _cell(row: dict, column: str, parse):
+    text = row[column] or ""
+    try:
+        value = parse(text)
+    except ValueError:
+        raise DomainError(f"column {column!r}: cannot parse {text!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"column {column!r} must be finite, got {text!r}")
+    return value
+
+
 def read_estimates_csv(source: IO[str]) -> list[RiskEstimate]:
+    """Parse what :func:`write_estimates_csv` writes; a missing column, a bad
+    cell or an inconsistent estimate raises DomainError naming its line."""
     reader = csv.DictReader(source)
+    missing = [c for c in _ESTIMATE_CSV_HEADER if c not in (reader.fieldnames or ())]
+    if missing:
+        raise DomainError(f"line 1: missing column(s) {', '.join(missing)}")
     estimates = []
     for row in reader:
-        estimates.append(
-            RiskEstimate(
-                component_id=row["component_id"],
-                lambda_hat=float(row["lambda_hat"]),
-                xi_hat=float(row["xi_hat"]) if row["xi_hat"] else None,
-                severity_variance=float(row["severity_var"]),
-                window=float(row["window"]),
-                n_events=int(row["n_events"]),
-                source=EstimateSource(row["source"]),
-                round=int(row["round"]) if row["round"] else None,
-                total_loss=None,
+        try:
+            estimates.append(
+                RiskEstimate(
+                    component_id=row["component_id"],
+                    lambda_hat=_cell(row, "lambda_hat", float),
+                    xi_hat=_cell(row, "xi_hat", float) if row["xi_hat"] else None,
+                    severity_variance=_cell(row, "severity_var", float),
+                    window=_cell(row, "window", float),
+                    n_events=_cell(row, "n_events", int),
+                    source=_cell(row, "source", EstimateSource),
+                    round=_cell(row, "round", int) if row["round"] else None,
+                    total_loss=None,
+                )
             )
-        )
+        except ValueError as exc:
+            raise DomainError(f"line {reader.line_num}: {exc}") from exc
     return estimates

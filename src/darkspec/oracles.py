@@ -59,7 +59,6 @@ class VarianceGapMC:
     """Empirical variance comparison between full, thinned, and noisy estimators."""
 
     var_gap: float            # var(thinned per-unit loss) - var(full)
-    full_variance: float
     nospec_variance: float
     noisy_variance: float
     inflation: float          # var(noisy) - var(full)
@@ -118,7 +117,6 @@ def variance_gap_mc(
     var_noisy = float(np.var(noisy, ddof=1))
     return VarianceGapMC(
         var_gap=var_thin - var_full,
-        full_variance=var_full,
         nospec_variance=var_thin,
         noisy_variance=var_noisy,
         inflation=var_noisy - var_full,

@@ -53,6 +53,10 @@ class LevyComponent:
     commencement: float = 0.0
 
     def __post_init__(self):
+        for name in ("drift", "diffusion", "jump_rate", "commencement"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.diffusion < 0.0:
             raise ParameterError(f"diffusion must be >= 0, got {self.diffusion}")
         if self.jump_rate < 0.0:

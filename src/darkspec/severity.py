@@ -19,8 +19,6 @@ from .errors import ParameterError, VarianceUndefinedError
 class SeverityDistribution:
     """Common interface for jump-size distributions."""
 
-    family: str = ""
-
     def mean(self) -> float:
         raise NotImplementedError
 
@@ -43,7 +41,6 @@ def _require_positive(name: str, value: float) -> None:
 @dataclass(frozen=True)
 class Exponential(SeverityDistribution):
     rate: float
-    family = "exponential"
 
     def __post_init__(self):
         _require_positive("rate", self.rate)
@@ -67,7 +64,6 @@ class Exponential(SeverityDistribution):
 class LogNormal(SeverityDistribution):
     mu: float
     sigma: float
-    family = "lognormal"
 
     def __post_init__(self):
         # mu is a log-scale location: any finite real is valid
@@ -92,7 +88,6 @@ class Pareto(SeverityDistribution):
 
     scale: float
     shape: float
-    family = "pareto"
 
     def __post_init__(self):
         _require_positive("scale", self.scale)
@@ -121,7 +116,6 @@ class Pareto(SeverityDistribution):
 @dataclass(frozen=True)
 class Degenerate(SeverityDistribution):
     value: float
-    family = "degenerate"
 
     def __post_init__(self):
         _require_positive("value", self.value)
@@ -142,7 +136,6 @@ class Mixture(SeverityDistribution):
 
     components: tuple[SeverityDistribution, ...]
     weights: tuple[float, ...]
-    family = "mixture"
 
     def __post_init__(self):
         if not self.components:

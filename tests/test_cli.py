@@ -464,6 +464,20 @@ class TestStopping:
         assert "gate_vs_brute" in (tmp_path / "out" / "stopping_report.csv").read_text()
 
 
+FEED_HEADER = b"component_id,source,round,lambda_hat,xi_hat,severity_var,window,n_events\n"
+FEED_ROW = b"obs,observed,,2.0,3.0,1.0,10.0,20\n"
+
+
+def expect_one_error_line(capsys, argv, *names):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    for name in names:
+        assert name in err
+    assert "Traceback" not in err
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "command, config, narrative, names",
@@ -472,14 +486,28 @@ class TestBadInput:
             ("run-process", RUN_PROCESS + "round.x.lambda_hat = 1.0\n", "atlanta", "round.x"),
             ("narrative-check", None, b"NARRATIVE \xff\n", "bad.licain"),
             ("run-process", RUN_PROCESS, b"NARRATIVE \xff\n", "bad.licain"),
+            ("stopping", b"stopping.rho = 1.0\n# \xff\n", None, "c.cfg:2"),
+            ("simulate", SIMULATE_MC.replace("jump_rate = 2.0", "jump_rate = nan"), None,
+             "component.a.jump_rate"),
+            ("simulate", SIMULATE_MC.replace("horizon = 50.0", "horizon = nan"), None,
+             "horizon"),
+            ("simulate", SIMULATE_MC.replace("drift = 0.0", "drift = inf"), None,
+             "component.a.drift"),
+            ("simulate", SIMULATE_MC + "tolerance = inf\n", None, "tolerance"),
         ],
-        ids=["utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8"],
+        ids=[
+            "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
+            "config-utf8", "jump-rate-nan", "horizon-nan", "drift-inf", "tolerance-key-inf",
+        ],
     )
     def test_exit_two_with_one_line(
         self, tmp_path, capsys, scenario_paths, command, config, narrative, names
     ):
         argv = [command, "--out", str(tmp_path / "out")]
-        if config is not None:
+        if isinstance(config, bytes):
+            (tmp_path / "c.cfg").write_bytes(config)
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        elif config is not None:
             argv += ["--config", write_config(tmp_path / "c.cfg", config)]
         if narrative in scenario_paths:
             argv.append(str(scenario_paths[narrative]))
@@ -487,12 +515,36 @@ class TestBadInput:
             path = tmp_path / "bad.licain"
             path.write_bytes(narrative)
             argv.append(str(path))
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert len(err.splitlines()) == 1
-        assert names in err
-        assert "Traceback" not in err
+        expect_one_error_line(capsys, argv, names)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_flag(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path / "c.cfg", SIMULATE_MC)
+        argv = ["simulate", "--config", cfg, "--reps", "10", "--tolerance", value,
+                "--out", str(tmp_path / "out")]
+        expect_one_error_line(capsys, argv, "tolerance")
+
+    @pytest.mark.parametrize(
+        "feed, names",
+        [
+            (FEED_HEADER + b"obs\xff,observed,,2.0,3.0,1.0,10.0,20\n", ["utf-8"]),
+            (FEED_HEADER + FEED_ROW.replace(b"2.0", b"abc"), ["line 2", "'lambda_hat'"]),
+            (FEED_HEADER + FEED_ROW + FEED_ROW.replace(b"3.0", b"nan"),
+             ["line 3", "'xi_hat'"]),
+            (FEED_HEADER.replace(b"xi_hat,", b"") + b"obs,observed,,2.0,1.0,10.0,20\n",
+             ["line 1", "xi_hat"]),
+            (FEED_HEADER + FEED_ROW.replace(b",20", b",21"), ["line 2", "lambda_hat"]),
+        ],
+        ids=["utf8", "non-numeric", "non-finite", "missing-column", "inconsistent"],
+    )
+    def test_malformed_observed_csv(self, tmp_path, capsys, scenario_paths, feed, names):
+        (tmp_path / "feed.csv").write_bytes(feed)
+        cfg = write_config(
+            tmp_path / "c.cfg", RUN_PROCESS + f"observed_csv = {tmp_path / 'feed.csv'}\n"
+        )
+        argv = ["run-process", "--config", cfg, "--out", str(tmp_path / "out"),
+                str(scenario_paths["atlanta"])]
+        expect_one_error_line(capsys, argv, "feed.csv", *names)
 
 
 class TestFlagPrecedence:

@@ -164,20 +164,17 @@ class TestVariableGate:
         costs = CostModel.variable_cost(c_write=1.0)
         deltas = RoundDeltas(statistical=2.0, mitigation=0.5, option=0.25)
         for h_r, round_index in ((1, 1), (3, 2), (9, 5)):
-            gate = continuation_variable(costs, h_r, round_index, self.quality, deltas)
+            gate = continuation_variable(costs, h_r, round_index, deltas)
             lhs = 1.0 + math.log(1 + h_r) + (math.log(round_index + 2) - math.log(round_index + 1))
             assert gate.continue_ == (lhs <= 2.75)
             assert gate.lhs == pytest.approx(lhs)
-            assert gate.noise_variance == pytest.approx(self.quality.noise_variance(h_r))
 
     def test_bad_inputs_rejected(self):
         costs = CostModel.variable_cost(c_write=1.0)
         with pytest.raises(DomainError):
-            continuation_variable(costs, 0, 1, self.quality, RoundDeltas(0, 0, 0))
+            continuation_variable(costs, 0, 1, RoundDeltas(0, 0, 0))
         with pytest.raises(DomainError):
-            continuation_variable(
-                CostModel.constant(1.0, 1.0), 1, 1, self.quality, RoundDeltas(0, 0, 0)
-            )
+            continuation_variable(CostModel.constant(1.0, 1.0), 1, 1, RoundDeltas(0, 0, 0))
 
     def test_variable_cost_engine_config_requires_quality(self):
         with pytest.raises(ParameterError):

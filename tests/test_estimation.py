@@ -231,9 +231,7 @@ class TestPkre:
         ]
         result = compute_pkre([], imagined, 1)
         assert result.variance == pytest.approx(3.6 + 4.0)
-        assert [c.loss_variance for c in result.components] == [
-            pytest.approx(estimate_loss_variance(e)) for e in imagined
-        ]
+        assert result.variance == math.fsum(estimate_loss_variance(e) for e in imagined)
 
     def test_three_components_cross_checked_against_aggregate_simulation(self):
         comps = [
@@ -278,6 +276,44 @@ class TestPkreAdditivity:
         separate_b = compute_pkre([], set_b, 1)
         assert combined.total == separate_a.total + separate_b.total
         assert combined.variance == separate_a.variance + separate_b.variance
+
+
+positive = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def estimate_sets(draw, prefix):
+    """Estimates with unique ids: underwritten, observed with events, or
+    observed over an empty window."""
+    estimates = []
+    for i in range(draw(st.integers(0, 8))):
+        cid = f"{prefix}{i}"
+        kind = draw(st.sampled_from(["underwritten", "observed", "empty"]))
+        window = draw(positive)
+        if kind == "underwritten":
+            estimates.append(
+                underwritten(cid, draw(positive), draw(positive), draw(positive), window)
+            )
+        elif kind == "observed":
+            sizes = draw(st.lists(positive, min_size=1, max_size=5))
+            estimates.append(estimate_from_observation(cid, sizes, window))
+        else:
+            estimates.append(estimate_from_observation(cid, [], window))
+    return estimates
+
+
+class TestPkreExactTotals:
+    @given(estimate_sets("o"), estimate_sets("i"))
+    @settings(max_examples=200, deadline=None)
+    def test_totals_equal_fsum(self, observed, imagined):
+        # the ledger's PKRE bits are these correctly rounded sums
+        result = compute_pkre(observed, imagined, 3)
+        both = observed + imagined
+        assert result.observed_total == math.fsum(map(expected_jump_loss, observed))
+        assert result.imagined_total == math.fsum(map(expected_jump_loss, imagined))
+        assert result.total == math.fsum(map(expected_jump_loss, both))
+        assert result.variance == math.fsum(map(estimate_loss_variance, both))
+        assert result.round == 3
 
 
 class TestConsistency:

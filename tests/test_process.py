@@ -15,6 +15,7 @@ from darkspec import (
     Exponential,
     LevyComponent,
     Mixture,
+    ParameterError,
     RiskCategory,
     aggregate,
     derive_seed,
@@ -237,6 +238,18 @@ class TestTheoreticalMoments:
             [p.terminal_value for p in sample_paths(c, 10.0, 19, 20_000)]
         )
         assert np.var(terminals, ddof=1) == pytest.approx(360.0, rel=0.05)
+
+
+class TestComponentGuards:
+    @pytest.mark.parametrize(
+        "kwarg, name",
+        [("drift", "drift"), ("diffusion", "diffusion"), ("rate", "jump_rate"),
+         ("start", "commencement")],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, kwarg, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            comp(**{kwarg: value})
 
 
 class TestCategoryTransitions:
