@@ -30,6 +30,7 @@ from .config import (
     _as_float,
 )
 from .engine import (
+    MAX_STOPPING_HORIZON,
     CostModel,
     RoundDeltas,
     RoundLedger,
@@ -383,7 +384,13 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
             raise ConfigError(f"key 'stopping.utilities' must be numbers, got {text!r}")
         gate_utilities = None
     else:
-        horizon = int(_as_float(cfg.values, "stopping.R_max", 20))
+        r_max = _as_float(cfg.values, "stopping.R_max", 20)
+        if not (r_max.is_integer() and 1 <= r_max <= MAX_STOPPING_HORIZON):
+            raise ConfigError(
+                f"key 'stopping.R_max' must be an integer from 1 to "
+                f"{MAX_STOPPING_HORIZON}, got {cfg.values['stopping.R_max']!r}"
+            )
+        horizon = int(r_max)
         initial = _as_float(cfg.values, "stopping.delta_initial")
         decay = _as_float(cfg.values, "stopping.delta_decay")
         cost = _as_float(cfg.values, "cost.c_write") + _as_float(cfg.values, "cost.c_spec")

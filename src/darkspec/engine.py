@@ -50,8 +50,10 @@ class CostModel:
             if self.c_spec is not None:
                 raise ParameterError("variable cost mode does not take c_spec")
         else:
-            if self.c_spec is None or not self.c_spec > 0.0:
-                raise ParameterError(f"constant cost mode needs c_spec > 0, got {self.c_spec}")
+            if self.c_spec is None or not self.c_spec > 0.0 or not math.isfinite(self.c_spec):
+                raise ParameterError(
+                    f"constant cost mode needs a finite c_spec > 0, got {self.c_spec}"
+                )
 
     @classmethod
     def constant(cls, c_write: float, c_spec: float, c_obs: float = 0.0) -> "CostModel":
@@ -286,6 +288,10 @@ def community_precision_condition(
 # brute-force optimal stopping
 
 
+# exhaustive search and the stopping command's R_max both stop here
+MAX_STOPPING_HORIZON = 30
+
+
 @dataclass(frozen=True)
 class StoppingResult:
     tau_star: int
@@ -299,8 +305,10 @@ def optimal_stopping_brute(utilities: Sequence[float], rho: float) -> StoppingRe
     stop immediately, value 0). Returns the earliest maximizing round.
     """
     horizon = len(utilities)
-    if not 1 <= horizon <= 30:
-        raise DomainError(f"horizon must be between 1 and 30 rounds, got {horizon}")
+    if not 1 <= horizon <= MAX_STOPPING_HORIZON:
+        raise DomainError(
+            f"horizon must be between 1 and {MAX_STOPPING_HORIZON} rounds, got {horizon}"
+        )
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"discount rho must lie in (0, 1], got {rho}")
     if any(not math.isfinite(u) for u in utilities):

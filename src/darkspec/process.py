@@ -258,14 +258,36 @@ def theoretical_moments(component: LevyComponent, horizon: float) -> MomentSumma
 _PATH_CSV_HEADER = ["component_id", "path_index", "jump_time", "jump_size", "terminal_value"]
 
 
+class _Echo:
+    """A file whose ``write`` returns its text, so that ``csv.writer.writerow``
+    returns the row it would have written."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
 def write_paths_csv(paths: Iterable[PathSample], out: IO[str]) -> None:
-    """One row per jump plus a terminal row carrying the terminal value."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_PATH_CSV_HEADER)
+    """One row per jump plus a terminal row carrying the terminal value.
+
+    ``path_index`` counts the paths of the call, across components. Float
+    cells are the ``repr`` of the Python float, which round-trips exactly.
+    Each path's rows go out in one ``out.write``.
+    """
+    # the csv module decides how an id is quoted, and that depends on the line
+    # terminator: strip "\n" off a row rather than write rows with ""
+    row_text = csv.writer(_Echo(), lineterminator="\n").writerow
+    out.write(row_text(_PATH_CSV_HEADER))
+    quoted_ids: dict[str, str] = {}
     for index, path in enumerate(paths):
-        for t, z in zip(path.jump_times, path.jump_sizes):
-            writer.writerow([path.component_id, index, repr(float(t)), repr(float(z)), ""])
-        writer.writerow(
-            [path.component_id, index, repr(float(path.horizon)), repr(0.0),
-             repr(float(path.terminal_value))]
+        cid = path.component_id
+        if cid not in quoted_ids:
+            quoted_ids[cid] = row_text([cid, ""])[:-1]
+        prefix = f"{quoted_ids[cid]}{index},"
+        times = np.asarray(path.jump_times, dtype=float).tolist()
+        sizes = np.asarray(path.jump_sizes, dtype=float).tolist()
+        rows = [f"{prefix}{t!r},{z!r},\n" for t, z in zip(times, sizes)]
+        rows.append(
+            f"{prefix}{float(path.horizon)!r},0.0,{float(path.terminal_value)!r}\n"
         )
+        out.write("".join(rows))

@@ -494,10 +494,15 @@ class TestBadInput:
             ("simulate", SIMULATE_MC.replace("drift = 0.0", "drift = inf"), None,
              "component.a.drift"),
             ("simulate", SIMULATE_MC + "tolerance = inf\n", None, "tolerance"),
+            ("stopping", STOPPING_GEOMETRIC.replace("= 20", "= 31"), None, "stopping.R_max"),
+            ("stopping", STOPPING_GEOMETRIC.replace("= 20", "= 1000000"), None,
+             "stopping.R_max"),
+            ("stopping", STOPPING_GEOMETRIC.replace("= 20", "= 2.5"), None, "stopping.R_max"),
         ],
         ids=[
             "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
             "config-utf8", "jump-rate-nan", "horizon-nan", "drift-inf", "tolerance-key-inf",
+            "r-max-31", "r-max-million", "r-max-fraction",
         ],
     )
     def test_exit_two_with_one_line(

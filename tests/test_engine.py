@@ -144,6 +144,11 @@ class TestConstantGate:
                 CostModel.variable_cost(c_write=1.0), RoundDeltas(0, 0, 0)
             )
 
+    @pytest.mark.parametrize("c_spec", [0.0, -1.0, math.nan, math.inf])
+    def test_speculation_cost_must_be_finite_and_positive(self, c_spec):
+        with pytest.raises(ParameterError, match="c_spec"):
+            CostModel.constant(0.1, c_spec)
+
 
 class TestVariableGate:
     quality = NarrativeQuality(sigma2_max=5.0, sigma2_min=1.0, eta=0.2)

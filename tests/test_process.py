@@ -1,11 +1,12 @@
 """Path simulation, aggregation, and theoretical moments."""
 
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -16,6 +17,7 @@ from darkspec import (
     LevyComponent,
     Mixture,
     ParameterError,
+    PathSample,
     RiskCategory,
     aggregate,
     derive_seed,
@@ -287,3 +289,92 @@ class TestCsvExport:
         write_paths_csv([sample_path(c, 5.0, 8)], a)
         write_paths_csv([sample_path(c, 5.0, 8)], b)
         assert a.getvalue() == b.getvalue()
+
+    def test_path_index_runs_across_components(self):
+        a = sample_paths(comp(cid="a", rate=1.0), 5.0, 4, 2)
+        b = sample_paths(comp(cid="b", rate=1.0), 5.0, 4, 2)
+        out = io.StringIO()
+        write_paths_csv(a + b, out)
+        rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+        terminal_rows = [row for row in rows if row[4] != ""]
+        assert [(row[0], row[1]) for row in terminal_rows] == [
+            ("a", "0"), ("a", "1"), ("b", "2"), ("b", "3")
+        ]
+        assert len(rows) == sum(p.jump_count + 1 for p in a + b)
+
+
+def reference_write_paths_csv(paths, out):
+    """The one-``writerow``-per-row writer that ``write_paths_csv`` replaced."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["component_id", "path_index", "jump_time", "jump_size", "terminal_value"])
+    for index, path in enumerate(paths):
+        for t, z in zip(path.jump_times, path.jump_sizes):
+            writer.writerow([path.component_id, index, repr(float(t)), repr(float(z)), ""])
+        writer.writerow(
+            [path.component_id, index, repr(float(path.horizon)), repr(0.0),
+             repr(float(path.terminal_value))]
+        )
+
+
+CSV_FLOATS = st.one_of(
+    st.sampled_from([5e-324, 1.5e-310, -2.2e-308, 1e16, -1e16, 1e300, -1e300, -0.0, 0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# ids the csv module must quote, or that are unusual; "\r" is written unquoted
+# under lineterminator "\n", so a file holding it does not parse back
+PARSEABLE_IDS = st.one_of(
+    st.sampled_from(["a,b", 'q"x', "new\nline", "", "\u00e9t\u00e9", "\u98ce\u9669", " k "]),
+    st.text(st.characters(blacklist_characters="\r"), max_size=6),
+)
+
+
+@st.composite
+def path_lists(draw, ids):
+    paths = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 5))
+        # bounded so that the sort check's np.diff cannot overflow
+        times = sorted(draw(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n)))
+        sizes = draw(st.lists(CSV_FLOATS, min_size=n, max_size=n))
+        paths.append(
+            PathSample(
+                component_id=draw(ids),
+                horizon=draw(CSV_FLOATS),
+                jump_times=np.array(times, dtype=float),
+                jump_sizes=np.array(sizes, dtype=float),
+                brownian_terminal=0.0,
+                terminal_value=draw(CSV_FLOATS),
+                seed=0,
+            )
+        )
+    return paths
+
+
+class TestCsvWriterMatchesReference:
+    @given(path_lists(st.one_of(PARSEABLE_IDS, st.sampled_from(["a\rb", "\r"]))))
+    @example([PathSample("k", 5, np.array([1, 2]), [3, 4], 0.0, -7, 0)])  # ints and a list
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_reference(self, paths):
+        out, ref = io.StringIO(), io.StringIO()
+        write_paths_csv(paths, out)
+        reference_write_paths_csv(paths, ref)
+        assert out.getvalue() == ref.getvalue()
+
+    @given(path_lists(PARSEABLE_IDS))
+    @settings(max_examples=200, deadline=None)
+    def test_float_cells_round_trip(self, paths):
+        out = io.StringIO()
+        write_paths_csv(paths, out)
+        rows = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
+        expected = []
+        for index, path in enumerate(paths):
+            for t, z in zip(path.jump_times, path.jump_sizes):
+                expected.append((path.component_id, index, t, z, None))
+            expected.append((path.component_id, index, path.horizon, 0.0, path.terminal_value))
+        assert len(rows) == 1 + len(expected)
+        for row, (cid, index, t, z, terminal) in zip(rows[1:], expected):
+            assert row[0] == cid
+            assert int(row[1]) == index
+            assert float(row[2]) == t
+            assert float(row[3]) == z
+            assert (row[4] == "") if terminal is None else (float(row[4]) == terminal)
