@@ -67,7 +67,9 @@ class ReportRow:
 
     @property
     def passed(self) -> bool:
-        return self.abs_error <= self.tolerance
+        # an infinite tolerance or formula would pass anything
+        values = (self.formula_value, self.oracle_value, self.tolerance)
+        return all(map(math.isfinite, values)) and self.abs_error <= self.tolerance
 
 
 @dataclass
@@ -233,10 +235,13 @@ def cmd_gap_study(cfg: ExperimentConfig) -> int:
     profile = detection_profile(specs)  # validates pi before any simulation
     sigma_eps = tuple(spec.sigma_eps for spec in specs)
     with_error = any(s > 0.0 for s in sigma_eps)
+    window = _as_float(cfg.values, "window", 1.0)
+    if not window > 0.0:
+        raise ConfigError(f"key 'window' must be > 0, got {cfg.values['window']!r}")
     study = oracles.gap_study_rows(
         components=[spec.component for spec in specs],
         pis=profile.pis,
-        window=_as_float(cfg.values, "window", 1.0),
+        window=window,
         bias_reps=cfg.reps,
         var_reps=cfg.reps,
         seed=cfg.seed,
@@ -376,12 +381,21 @@ def _renumber(narrative, round_index: int, file_index: int):
 def cmd_stopping(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     rho = _as_float(cfg.values, "stopping.rho", 1.0)
+    if not 0.0 < rho <= 1.0:
+        raise ConfigError(
+            f"key 'stopping.rho' must lie in (0, 1], got {cfg.values['stopping.rho']!r}"
+        )
     if "stopping.utilities" in cfg.values:
         text = cfg.values["stopping.utilities"]
         try:
             utilities = [float(u) for u in text.split(",")]
         except ValueError:
             raise ConfigError(f"key 'stopping.utilities' must be numbers, got {text!r}")
+        if len(utilities) > MAX_STOPPING_HORIZON or not all(map(math.isfinite, utilities)):
+            raise ConfigError(
+                f"key 'stopping.utilities' must be at most {MAX_STOPPING_HORIZON} "
+                f"finite numbers, got {text!r}"
+            )
         gate_utilities = None
     else:
         r_max = _as_float(cfg.values, "stopping.R_max", 20)

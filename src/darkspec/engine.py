@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .errors import DomainError, NarrativeInvalidError, ParameterError, RoundAbortedError
 from .estimation import EstimateSource, RiskEstimate, compute_pkre
@@ -390,24 +391,27 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class RoundLedger:
+    """Round records plus the latest underwriting estimate per imagined
+    risk, in first-seen order. The map is derived state: built from the
+    records once when it is not given, read-only, and left out of equality."""
+
     records: tuple[RoundRecord, ...] = ()
+    imagined: Mapping[str, RiskEstimate] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        imagined = self.imagined
+        if imagined is None:
+            imagined = {
+                r.risk_id: r.underwriting.to_estimate(r.risk_id, r.round)
+                for r in self.records
+            }
+        object.__setattr__(self, "imagined", MappingProxyType(imagined))
 
     @property
     def next_round(self) -> int:
         return self.records[-1].round + 1 if self.records else 1
-
-    @property
-    def k_imagined(self) -> int:
-        return self.records[-1].k_imagined if self.records else 0
-
-    def imagined_estimates(self) -> dict[str, RiskEstimate]:
-        """Latest underwriting estimate per imagined risk, in first-seen order."""
-        latest: dict[str, RiskEstimate] = {}
-        for record in self.records:
-            latest[record.risk_id] = record.underwriting.to_estimate(
-                record.risk_id, record.round
-            )
-        return latest
 
     def pkre_history(self) -> list[float]:
         return [r.pkre_total for r in self.records]
@@ -482,7 +486,7 @@ def _advance(
     config: EngineConfig,
 ) -> RoundLedger:
     round_index = ledger.next_round
-    imagined = ledger.imagined_estimates()
+    imagined = dict(ledger.imagined)  # a copy: an aborted round leaves the old map
     newly_imagined = risk_id not in imagined
     imagined[risk_id] = underwriting.to_estimate(risk_id, round_index)
     pkre = compute_pkre(observed_feed, list(imagined.values()), round_index)
@@ -527,7 +531,7 @@ def _advance(
         benefits=benefits,
         sponsored=sponsored,
         newly_imagined=newly_imagined,
-        k_imagined=ledger.k_imagined + (1 if newly_imagined else 0),
+        k_imagined=len(imagined),
         pkre_total=pkre.total,
         pkre_observed=pkre.observed_total,
         pkre_imagined=pkre.imagined_total,
@@ -537,7 +541,7 @@ def _advance(
         decision=gate.decision,
         red_line=red_line,
     )
-    return RoundLedger(records=ledger.records + (record,))
+    return RoundLedger(records=ledger.records + (record,), imagined=imagined)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ run across narratives in parallel.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
@@ -164,42 +165,25 @@ def build_narrative(
 # parsing
 
 
+# a comment, a quoted string, an unterminated quote, or a bare word
+_TOKEN = re.compile(r'(#)|"([^"\\]*(?:\\.[^"\\]*)*)"|(")|[^\s"#]+', re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _tokenize(line: str, line_no: int) -> list[tuple[str, int, bool]]:
     """Split one line into (token, column, quoted) triples; '#' starts a comment."""
     tokens = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
+    for match in _TOKEN.finditer(line):
+        comment, quoted, open_quote = match.groups()
+        col = match.start() + 1
+        if comment:
             break
-        col = i + 1
-        if ch == '"':
-            i += 1
-            parts = []
-            while i < n:
-                c = line[i]
-                if c == "\\" and i + 1 < n:
-                    parts.append(line[i + 1])
-                    i += 2
-                    continue
-                if c == '"':
-                    break
-                parts.append(c)
-                i += 1
-            else:
-                raise NarrativeSyntaxError("unterminated string", line_no, col)
-            i += 1
-            tokens.append(("".join(parts), col, True))
+        if open_quote:
+            raise NarrativeSyntaxError("unterminated string", line_no, col)
+        if quoted is None:
+            tokens.append((match.group(), col, False))
         else:
-            j = i
-            while j < n and not line[j].isspace() and line[j] not in '"#':
-                j += 1
-            tokens.append((line[i:j], col, False))
-            i = j
+            tokens.append((_ESCAPE.sub(r"\1", quoted), col, True))
     return tokens
 
 
@@ -258,34 +242,26 @@ def parse_narrative(text: str) -> Narrative:
             round_text = _expect_kv(rest[0], "round", line_no)
             risk = _expect_kv(rest[1], "risk", line_no)
             header = (_parse_int(round_text, "round", line_no, rest[0][1]), risk)
-        elif keyword == "ACTOR":
+        elif keyword in ("ACTOR", "ACTION"):
+            if keyword == "ACTOR":
+                table, kinds, cls = actors, ActorKind, Actor
+            else:
+                table, kinds, cls = actions, ActionKind, Action
+            noun = keyword.lower()
             if len(rest) != 2 or rest[0][2]:
-                raise NarrativeSyntaxError("ACTOR takes <id> kind=<kind>", line_no, kw_col)
-            actor_id = rest[0][0]
+                raise NarrativeSyntaxError(f"{keyword} takes <id> kind=<kind>",
+                                           line_no, kw_col)
+            record_id = rest[0][0]
             kind_text = _expect_kv(rest[1], "kind", line_no)
             try:
-                kind = ActorKind(kind_text)
+                kind = kinds(kind_text)
             except ValueError:
-                raise NarrativeSyntaxError(f"unknown actor kind {kind_text!r}",
+                raise NarrativeSyntaxError(f"unknown {noun} kind {kind_text!r}",
                                            line_no, rest[1][1])
-            if actor_id in actors:
-                raise NarrativeSyntaxError(f"duplicate actor id {actor_id!r}",
+            if record_id in table:
+                raise NarrativeSyntaxError(f"duplicate {noun} id {record_id!r}",
                                            line_no, rest[0][1], code="duplicate-id")
-            actors[actor_id] = Actor(actor_id, kind)
-        elif keyword == "ACTION":
-            if len(rest) != 2 or rest[0][2]:
-                raise NarrativeSyntaxError("ACTION takes <id> kind=<kind>", line_no, kw_col)
-            action_id = rest[0][0]
-            kind_text = _expect_kv(rest[1], "kind", line_no)
-            try:
-                a_kind = ActionKind(kind_text)
-            except ValueError:
-                raise NarrativeSyntaxError(f"unknown action kind {kind_text!r}",
-                                           line_no, rest[1][1])
-            if action_id in actions:
-                raise NarrativeSyntaxError(f"duplicate action id {action_id!r}",
-                                           line_no, rest[0][1], code="duplicate-id")
-            actions[action_id] = Action(action_id, a_kind)
+            table[record_id] = cls(record_id, kind)
         elif keyword == "HAPPENING":
             if len(rest) < 3 or rest[0][2]:
                 raise NarrativeSyntaxError(

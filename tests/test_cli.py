@@ -277,6 +277,23 @@ class TestGapStudy:
         assert float(row["var_gap_formula"]) == pytest.approx(-51.0)
         assert float(row["rel_error"]) <= 0.05
 
+    def test_non_finite_row_fails(self, tmp_path, capsys):
+        # window = 1e-320 makes the variance-gap formula -inf and its tolerance inf
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            "window = 1e-320\n"
+            "component.a.jump_rate = 2.0\ncomponent.a.severity = exponential\n"
+            "component.a.severity_mean = 3.0\ncomponent.a.pi = 0.5\n",
+        )
+        code = main([
+            "gap-study", "--config", cfg, "--reps", "2000", "--seed", "1",
+            "--out", str(tmp_path / "out"),
+        ])
+        out = capsys.readouterr().out
+        assert "[PASS] a.bias" in out
+        assert "[FAIL] a.var_gap: formula=-inf" in out
+        assert code == 1
+
     def test_malformed_pi_fails_before_simulation(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", GAP_BAD_PI)
         code = main([
@@ -498,11 +515,21 @@ class TestBadInput:
             ("stopping", STOPPING_GEOMETRIC.replace("= 20", "= 1000000"), None,
              "stopping.R_max"),
             ("stopping", STOPPING_GEOMETRIC.replace("= 20", "= 2.5"), None, "stopping.R_max"),
+            ("stopping", "stopping.utilities = " + ",".join(["1"] * 31) + "\n", None,
+             "stopping.utilities"),
+            ("stopping", "stopping.utilities = 1,nan,2\n", None, "stopping.utilities"),
+            ("stopping", "stopping.utilities = 1,inf,2\n", None, "stopping.utilities"),
+            ("stopping", "stopping.utilities = 1,2\nstopping.rho = 2\n", None, "stopping.rho"),
+            ("stopping", STOPPING_GEOMETRIC.replace("rho = 1.0", "rho = 0"), None,
+             "stopping.rho"),
+            ("gap-study", GAP_FULL_DETECTION.replace("window = 1.0", "window = 0"), None,
+             "'window'"),
         ],
         ids=[
             "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
             "config-utf8", "jump-rate-nan", "horizon-nan", "drift-inf", "tolerance-key-inf",
-            "r-max-31", "r-max-million", "r-max-fraction",
+            "r-max-31", "r-max-million", "r-max-fraction", "utilities-31", "utilities-nan",
+            "utilities-inf", "rho-2", "rho-0", "window-0",
         ],
     )
     def test_exit_two_with_one_line(

@@ -29,6 +29,7 @@ from darkspec import (
     RoundLedger,
     UnderwritingResult,
     build_narrative,
+    estimate_from_observation,
     community_precision_condition,
     continuation_constant,
     continuation_variable,
@@ -496,6 +497,74 @@ class TestLedgerPersistence:
         # trajectory 5, 7, 9 against threshold 8: trigger exactly at round 3
         assert totals == [5.0, 7.0, 9.0]
         assert flags == [False, False, True]
+
+
+class TestImaginedMap:
+    config = EngineConfig(
+        costs=CostModel.constant(c_write=1.0, c_spec=2.0),
+        redline=RedLineConfig(nu_star=8.0),
+    )
+    feed = (estimate_from_observation("obs", [2.0, 3.0], 10.0),)
+
+    def advance(self, ledger, risk, lam, xi, feed=None):
+        return run_round(
+            ledger, chain_narrative(risk, ledger.next_round),
+            lambda _n: UnderwritingResult(lam, xi, 0.5, 1.0),
+            self.feed if feed is None else feed, self.config, RoundBenefits(0.0, 0.0),
+        )
+
+    def test_one_estimate_per_round(self, monkeypatch):
+        calls = []
+        to_estimate = UnderwritingResult.to_estimate
+
+        def counted(result, risk_id, round_index):
+            calls.append(round_index)
+            return to_estimate(result, risk_id, round_index)
+
+        monkeypatch.setattr(UnderwritingResult, "to_estimate", counted)
+        ledger = RoundLedger()
+        for i in range(1, 41):
+            ledger = self.advance(ledger, f"risk-{i % 7}", 0.1 * i, 2.0)
+        assert calls == list(range(1, 41))
+        assert list(ledger.imagined) == [f"risk-{i % 7}" for i in range(1, 8)]
+        assert [r.k_imagined for r in ledger.records] == [min(i, 7) for i in range(1, 41)]
+
+    def test_read_ledger_continues_like_the_live_one(self, tmp_path):
+        ledger = RoundLedger()
+        for risk, lam in [("risk-a", 0.5), ("risk-b", 1.0), ("risk-a", 2.0)]:
+            ledger = self.advance(ledger, risk, lam, 4.0)
+        path = tmp_path / "ledger.jsonl"
+        write_ledger(ledger, path)
+        persisted = read_ledger(path)
+        assert dict(persisted.imagined) == dict(ledger.imagined)
+        assert list(persisted.imagined) == ["risk-a", "risk-b"]
+        for risk in ("risk-a", "risk-c"):
+            live = self.advance(ledger, risk, 0.25, 3.0).records[-1]
+            loaded = self.advance(persisted, risk, 0.25, 3.0).records[-1]
+            assert live == loaded
+            new = risk == "risk-c"
+            assert (loaded.newly_imagined, loaded.k_imagined) == (new, 2 + new)
+            assert (loaded.pkre_total, loaded.pkre_observed, loaded.pkre_imagined,
+                    loaded.pkre_variance) == (live.pkre_total, live.pkre_observed,
+                                              live.pkre_imagined, live.pkre_variance)
+
+    def test_aborted_round_leaves_the_map(self):
+        ledger = self.advance(RoundLedger(), "risk-a", 0.5, 10.0)
+        before = dict(ledger.imagined)
+        # a repeated observed id fails compute_pkre after the new risk is stored
+        with pytest.raises(DomainError):
+            self.advance(ledger, "risk-b", 1.0, 1.0, feed=self.feed * 2)
+        assert dict(ledger.imagined) == before
+        assert list(ledger.imagined) == ["risk-a"]
+        with pytest.raises(TypeError):
+            ledger.imagined["risk-b"] = before["risk-a"]
+
+    def test_map_stays_out_of_equality_and_hash(self):
+        ledger = self.advance(RoundLedger(), "risk-a", 0.5, 10.0)
+        rebuilt = RoundLedger(records=ledger.records)
+        assert rebuilt == ledger and hash(rebuilt) == hash(ledger)
+        assert dict(rebuilt.imagined) == dict(ledger.imagined)
+        assert "mappingproxy" not in repr(ledger)
 
 
 class TestStatisticalDelta:

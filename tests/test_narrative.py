@@ -1,5 +1,7 @@
 """Narrative parsing, validation, pivots, and mitigation."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from darkspec import (
     serialize_narrative,
     validate,
 )
+from darkspec.narrative import _tokenize
 
 AGENTIVE = {ActionKind.HUMAN, ActionKind.MACHINE, ActionKind.JOINT}
 
@@ -127,6 +130,115 @@ class TestParsing:
         n = parse_narrative(text)
         assert n.happenings[0].description == 'a # not a comment "quoted"'
         assert n.round == 2
+
+    @pytest.mark.parametrize(
+        "body, message, code, line, column",
+        [
+            ("ACTOR x\n", "ACTOR takes <id> kind=<kind>", "syntax", 2, 1),
+            ("ACTOR x kind=human extra\n", "ACTOR takes <id> kind=<kind>", "syntax", 2, 1),
+            ('ACTOR "x" kind=human\n', "ACTOR takes <id> kind=<kind>", "syntax", 2, 1),
+            ("ACTOR x human\n", "expected kind=<value>", "syntax", 2, 9),
+            ("ACTOR x kind=\n", "empty value for kind=", "syntax", 2, 9),
+            ("ACTOR x  kind=alien\n", "unknown actor kind 'alien'", "syntax", 2, 10),
+            ("ACTOR x kind=human\nACTOR  x kind=human\n", "duplicate actor id 'x'",
+             "duplicate-id", 3, 8),
+            ("ACTION x\n", "ACTION takes <id> kind=<kind>", "syntax", 2, 1),
+            ("ACTION x kind=joint extra\n", "ACTION takes <id> kind=<kind>", "syntax", 2, 1),
+            ('ACTION "x" kind=joint\n', "ACTION takes <id> kind=<kind>", "syntax", 2, 1),
+            ("ACTION x joint\n", "expected kind=<value>", "syntax", 2, 10),
+            ("ACTION x kind=\n", "empty value for kind=", "syntax", 2, 10),
+            ("ACTION x  kind=magic\n", "unknown action kind 'magic'", "syntax", 2, 11),
+            ("ACTION x kind=joint\nACTION  x kind=joint\n", "duplicate action id 'x'",
+             "duplicate-id", 3, 9),
+        ],
+        ids=[
+            f"{kw}-{case}"
+            for kw in ("actor", "action")
+            for case in ("short", "long", "quoted-id", "missing-kind", "empty-kind",
+                         "unknown-kind", "duplicate-id")
+        ],
+    )
+    def test_actor_and_action_errors(self, body, message, code, line, column):
+        with pytest.raises(NarrativeSyntaxError) as exc:
+            parse_narrative("NARRATIVE round=1 risk=r\n" + body)
+        assert str(exc.value) == f"line {line}, column {column}: {message}"
+        assert (exc.value.code, exc.value.line, exc.value.column) == (code, line, column)
+
+
+def reference_tokenize(line, line_no):
+    """The character loop the regular-expression tokenizer replaced."""
+    tokens = []
+    i = 0
+    n = len(line)
+    while i < n:
+        ch = line[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "#":
+            break
+        col = i + 1
+        if ch == '"':
+            i += 1
+            parts = []
+            while i < n:
+                c = line[i]
+                if c == "\\" and i + 1 < n:
+                    parts.append(line[i + 1])
+                    i += 2
+                    continue
+                if c == '"':
+                    break
+                parts.append(c)
+                i += 1
+            else:
+                raise NarrativeSyntaxError("unterminated string", line_no, col)
+            i += 1
+            tokens.append(("".join(parts), col, True))
+        else:
+            j = i
+            while j < n and not line[j].isspace() and line[j] not in '"#':
+                j += 1
+            tokens.append((line[i:j], col, False))
+            i = j
+    return tokens
+
+
+def tokenize_outcome(tokenize, line):
+    try:
+        return tokenize(line, 7)
+    except NarrativeSyntaxError as exc:
+        return (str(exc), exc.code, exc.line, exc.column)
+
+
+class TestTokenizer:
+    @given(st.text(alphabet='ab"#\\ \t\x1f\u00a0\u2003=->\u00e9', max_size=40))
+    @settings(max_examples=2000, deadline=None)
+    def test_matches_character_loop(self, line):
+        assert tokenize_outcome(_tokenize, line) == tokenize_outcome(reference_tokenize, line)
+
+    def test_whitespace_class_is_str_isspace(self):
+        every = "".join(map(chr, range(0x110000)))
+        assert re.findall(r"\s", every) == [ch for ch in every if ch.isspace()]
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ('a"b c"#d', [("a", 1, False), ("b c", 2, True)]),
+            ('"" x', [("", 1, True), ("x", 4, False)]),
+            ('"\\\\\\"" y', [('\\"', 1, True), ("y", 8, False)]),
+            ("x#y", [("x", 1, False)]),
+        ],
+    )
+    def test_examples(self, line, expected):
+        assert _tokenize(line, 1) == expected
+
+    @pytest.mark.parametrize("line, column", [('a "b', 3), ('"a\\"', 1), ('x "\\', 3)])
+    def test_unterminated_quote_reports_its_column(self, line, column):
+        with pytest.raises(NarrativeSyntaxError) as exc:
+            _tokenize(line, 4)
+        assert (exc.value.line, exc.value.column) == (4, column)
+        assert "unterminated string" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
