@@ -13,7 +13,7 @@ import csv
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -72,6 +72,9 @@ class ReportRow:
         return all(map(math.isfinite, values)) and self.abs_error <= self.tolerance
 
 
+_REPORT_VALUES = ("formula_value", "oracle_value", "abs_error", "rel_error", "tolerance")
+
+
 @dataclass
 class Report:
     rows: list[ReportRow]
@@ -83,26 +86,17 @@ class Report:
         return all(row.passed for row in self.rows)
 
     def write_csv(self, out: IO[str], long_format: bool = False) -> None:
+        """One row per check (wide), or one ``name,field,value`` row per cell (long)."""
         writer = csv.writer(out, lineterminator="\n")
-        if long_format:
-            writer.writerow(["name", "field", "value"])
-            for row in self.rows:
-                for field_name in (
-                    "formula_value", "oracle_value", "abs_error", "rel_error", "tolerance",
-                ):
-                    writer.writerow([row.name, field_name, repr(getattr(row, field_name))])
-                writer.writerow([row.name, "pass", str(row.passed).lower()])
-        else:
-            writer.writerow(
-                ["name", "formula_value", "oracle_value", "abs_error",
-                 "rel_error", "tolerance", "pass"]
-            )
-            for row in self.rows:
-                writer.writerow(
-                    [row.name, repr(row.formula_value), repr(row.oracle_value),
-                     repr(row.abs_error), repr(row.rel_error), repr(row.tolerance),
-                     str(row.passed).lower()]
-                )
+        columns = (*_REPORT_VALUES, "pass")
+        writer.writerow(["name", "field", "value"] if long_format else ["name", *columns])
+        for row in self.rows:
+            cells = [repr(getattr(row, c)) for c in _REPORT_VALUES]
+            cells.append(str(row.passed).lower())
+            if long_format:
+                writer.writerows([row.name, c, cell] for c, cell in zip(columns, cells))
+            else:
+                writer.writerow([row.name, *cells])
 
     def print_summary(self, title: str) -> None:
         print(f"{title} (seed={self.seed}, duration={self.duration:.2f}s)")
@@ -250,16 +244,11 @@ def cmd_gap_study(cfg: ExperimentConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "gap_report.csv", "w", encoding="utf-8") as out:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["component_id", "pi", "bias_formula", "bias_mc",
-             "var_gap_formula", "var_gap_mc", "abs_error", "rel_error"]
-        )
+        columns = [f.name for f in fields(oracles.GapStudyRow)]
+        writer.writerow(columns)
         for row in study:
-            writer.writerow(
-                [row.component_id, repr(row.pi), repr(row.bias_formula),
-                 repr(row.bias_mc), repr(row.var_gap_formula), repr(row.var_gap_mc),
-                 repr(row.abs_error), repr(row.rel_error)]
-            )
+            # the id as it is, then every number as its round-trip repr
+            writer.writerow([row.component_id, *(repr(getattr(row, c)) for c in columns[1:])])
     rows = []
     for row in study:
         rows.append(
@@ -408,8 +397,20 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
         initial = _as_float(cfg.values, "stopping.delta_initial")
         decay = _as_float(cfg.values, "stopping.delta_decay")
         cost = _as_float(cfg.values, "cost.c_write") + _as_float(cfg.values, "cost.c_spec")
-        deltas = [initial * decay**r for r in range(1, horizon + 1)]
+        try:
+            deltas = [initial * decay**r for r in range(1, horizon + 1)]
+        except OverflowError:
+            deltas = [math.inf]
+        if not all(map(math.isfinite, deltas)):
+            raise ConfigError(
+                "keys 'stopping.delta_initial' and 'stopping.delta_decay' give a "
+                f"round delta that overflows over {horizon} rounds"
+            )
         utilities = [d - cost for d in deltas]
+        if not all(map(math.isfinite, utilities)):
+            raise ConfigError(
+                "keys 'cost.c_write' and 'cost.c_spec' give a non-finite round utility"
+            )
         gate_utilities = (deltas, cost)
     result = optimal_stopping_brute(utilities, rho)
     cfg.out.mkdir(parents=True, exist_ok=True)

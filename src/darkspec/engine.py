@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum, EnumMeta
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .errors import DomainError, NarrativeInvalidError, ParameterError, RoundAbortedError
 from .estimation import EstimateSource, RiskEstimate, compute_pkre
@@ -548,103 +549,58 @@ def _advance(
 # persistence and replay
 
 
-def _estimate_to_dict(est: RiskEstimate) -> dict:
-    return {
-        "component_id": est.component_id,
-        "lambda_hat": est.lambda_hat,
-        "xi_hat": est.xi_hat,
-        "severity_variance": est.severity_variance,
-        "window": est.window,
-        "n_events": est.n_events,
-        "source": est.source.value,
-        "round": est.round,
-        "total_loss": est.total_loss,
-    }
+def _codec(hint):
+    """(encode, decode) between a record, or a tuple of records, and its JSON
+    form, read off the dataclass fields and annotations; None for other types."""
+    if get_origin(hint) is tuple:  # stored as a list
+        enc, dec = _codec(get_args(hint)[0])
+        return (lambda items: [enc(i) for i in items]), (lambda items: tuple(map(dec, items)))
+    if not is_dataclass(hint):
+        return None
+    names = tuple(f.name for f in fields(hint))
+    hints = get_type_hints(hint)
+    enums = tuple((n, hints[n]) for n in names if isinstance(hints[n], EnumMeta))
+    # attribute reads, an enum as its value: vars() would keep a __dict__ per instance
+    read = attrgetter(*(n + ".value" if isinstance(hints[n], EnumMeta) else n for n in names))
+    nested = tuple((n, c) for n in names if (c := _codec(hints[n])))
+
+    def encode(value) -> dict:
+        data = dict(zip(names, read(value)))
+        for name, (encode_field, _) in nested:
+            data[name] = encode_field(data[name])
+        return data
+
+    def decode(data: dict):
+        for name, (_, decode_field) in nested:
+            data[name] = decode_field(data[name])
+        for name, enum in enums:
+            data[name] = enum(data[name])
+        return hint(**data)
+
+    return encode, decode
 
 
-def _estimate_from_dict(data: dict) -> RiskEstimate:
-    return RiskEstimate(
-        component_id=data["component_id"],
-        lambda_hat=data["lambda_hat"],
-        xi_hat=data["xi_hat"],
-        severity_variance=data["severity_variance"],
-        window=data["window"],
-        n_events=data["n_events"],
-        source=EstimateSource(data["source"]),
-        round=data["round"],
-        total_loss=data["total_loss"],
-    )
-
-
-def record_to_dict(record: RoundRecord) -> dict:
-    return {
-        "schema_version": LEDGER_SCHEMA_VERSION,
-        "round": record.round,
-        "risk_id": record.risk_id,
-        "happening_count": record.happening_count,
-        "underwriting": {
-            "lambda_hat": record.underwriting.lambda_hat,
-            "xi_hat": record.underwriting.xi_hat,
-            "severity_variance": record.underwriting.severity_variance,
-            "window": record.underwriting.window,
-        },
-        "observed": [_estimate_to_dict(e) for e in record.observed],
-        "benefits": {
-            "mitigation": record.benefits.mitigation,
-            "option": record.benefits.option,
-        },
-        "sponsored": record.sponsored,
-        "newly_imagined": record.newly_imagined,
-        "k_imagined": record.k_imagined,
-        "pkre": {
-            "total": record.pkre_total,
-            "observed": record.pkre_observed,
-            "imagined": record.pkre_imagined,
-            "variance": record.pkre_variance,
-        },
-        "costs": {
-            "speculation": record.costs.speculation,
-            "writing": record.costs.writing,
-            "observation": record.costs.observation,
-        },
-        "deltas": {
-            "statistical": record.deltas.statistical,
-            "mitigation": record.deltas.mitigation,
-            "option": record.deltas.option,
-        },
-        "decision": record.decision,
-        "red_line": record.red_line,
-    }
-
-
-def record_from_dict(data: dict) -> RoundRecord:
-    if data.get("schema_version") != LEDGER_SCHEMA_VERSION:
-        raise DomainError(
-            f"unsupported ledger schema version {data.get('schema_version')!r}"
-        )
-    return RoundRecord(
-        round=data["round"],
-        risk_id=data["risk_id"],
-        happening_count=data["happening_count"],
-        underwriting=UnderwritingResult(**data["underwriting"]),
-        observed=tuple(_estimate_from_dict(e) for e in data["observed"]),
-        benefits=RoundBenefits(**data["benefits"]),
-        sponsored=data["sponsored"],
-        newly_imagined=data["newly_imagined"],
-        k_imagined=data["k_imagined"],
-        pkre_total=data["pkre"]["total"],
-        pkre_observed=data["pkre"]["observed"],
-        pkre_imagined=data["pkre"]["imagined"],
-        pkre_variance=data["pkre"]["variance"],
-        costs=RoundCosts(**data["costs"]),
-        deltas=RoundDeltas(**data["deltas"]),
-        decision=data["decision"],
-        red_line=data["red_line"],
-    )
+_encode_record, _decode_record = _codec(RoundRecord)
+# a line nests the record's pkre_<key> fields as {"pkre": {<key>: ...}}
+_PKRE_FIELDS = tuple(f.name for f in fields(RoundRecord) if f.name.startswith("pkre_"))
 
 
 def _ledger_line(record: RoundRecord) -> str:
-    return json.dumps(record_to_dict(record), sort_keys=True) + "\n"
+    line = _encode_record(record)
+    line["pkre"] = {name.removeprefix("pkre_"): line.pop(name) for name in _PKRE_FIELDS}
+    line["schema_version"] = LEDGER_SCHEMA_VERSION
+    # the tree is built here from scalar fields, so it cannot contain itself
+    return json.dumps(line, sort_keys=True, check_circular=False) + "\n"
+
+
+def _record_from_line(data) -> RoundRecord:
+    """Decode one parsed line in place; a missing or unknown key fails in a constructor."""
+    if not isinstance(data, dict):
+        raise DomainError(f"a ledger line must be a JSON object, got {type(data).__name__}")
+    if (version := data.pop("schema_version", None)) != LEDGER_SCHEMA_VERSION:
+        raise DomainError(f"unsupported ledger schema version {version!r}")
+    data.update(("pkre_" + key, value) for key, value in dict(data.pop("pkre")).items())
+    return _decode_record(data)
 
 
 def write_ledger(ledger: RoundLedger, path: str | Path) -> None:
@@ -662,12 +618,16 @@ def append_record(record: RoundRecord, path: str | Path) -> None:
 
 
 def read_ledger(path: str | Path) -> RoundLedger:
+    """Load a ledger; a line that is not a valid record raises DomainError at path:line."""
     records = []
-    with open(path, "r", encoding="utf-8") as source:
-        for line in source:
-            line = line.strip()
-            if line:
-                records.append(record_from_dict(json.loads(line)))
+    with open(path, "rb") as source:  # decoded per line, so a bad byte has a line too
+        for number, line in enumerate(source, start=1):
+            try:
+                if line.strip():  # blank lines are skipped
+                    records.append(_record_from_line(json.loads(line.decode("utf-8"))))
+            except (KeyError, TypeError, ValueError) as exc:
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise DomainError(f"{path}:{number}: {detail}") from exc
     return RoundLedger(records=tuple(records))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import IO, Iterable, Sequence
 
@@ -71,15 +71,7 @@ class LevyComponent:
                 f"cannot reclassify {self.category.value} as {category.value}: "
                 "category transitions are irreversible"
             )
-        return LevyComponent(
-            self.component_id,
-            self.drift,
-            self.diffusion,
-            self.jump_rate,
-            self.severity,
-            category,
-            self.commencement,
-        )
+        return replace(self, category=category)
 
 
 @dataclass(frozen=True)

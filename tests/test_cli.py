@@ -3,15 +3,20 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from darkspec.cli import main
-from darkspec.config import load_config_file, parse_components
-from darkspec.engine import read_ledger
+from darkspec.cli import Report, ReportRow, main
+from darkspec.config import engine_config, load_config_file, parse_components
+from darkspec.engine import read_ledger, replay_ledger, write_ledger
 from darkspec.estimation import estimate_from_observation, write_estimates_csv
 from darkspec.process import sample_paths, write_paths_csv
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+LEDGER_V1 = REPO_ROOT / "tests" / "data" / "ledger_v1.jsonl"
 
 
 def write_config(path, text):
@@ -145,6 +150,50 @@ class TestSimulate:
         ]) == 0
         header = (tmp_path / "out" / "moment_report.csv").read_text().splitlines()[0]
         assert header == "name,field,value"
+
+
+class TestReportCsv:
+    REPORT = Report(
+        rows=[
+            ReportRow("a.mean", 1.0, 1.05, 0.1),
+            ReportRow("b.variance", 2.0, 3.5, 0.5),
+            ReportRow("c.var_gap", float("-inf"), 0.0, float("inf")),
+        ],
+        seed=7,
+        duration=0.0,
+    )
+
+    @pytest.mark.parametrize(
+        "long_format, expected",
+        [
+            (
+                False,
+                "name,formula_value,oracle_value,abs_error,rel_error,tolerance,pass\n"
+                "a.mean,1.0,1.05,0.050000000000000044,0.050000000000000044,0.1,true\n"
+                "b.variance,2.0,3.5,1.5,0.75,0.5,false\n"
+                "c.var_gap,-inf,0.0,inf,nan,inf,false\n",
+            ),
+            (
+                True,
+                "name,field,value\n"
+                "a.mean,formula_value,1.0\na.mean,oracle_value,1.05\n"
+                "a.mean,abs_error,0.050000000000000044\n"
+                "a.mean,rel_error,0.050000000000000044\n"
+                "a.mean,tolerance,0.1\na.mean,pass,true\n"
+                "b.variance,formula_value,2.0\nb.variance,oracle_value,3.5\n"
+                "b.variance,abs_error,1.5\nb.variance,rel_error,0.75\n"
+                "b.variance,tolerance,0.5\nb.variance,pass,false\n"
+                "c.var_gap,formula_value,-inf\nc.var_gap,oracle_value,0.0\n"
+                "c.var_gap,abs_error,inf\nc.var_gap,rel_error,nan\n"
+                "c.var_gap,tolerance,inf\nc.var_gap,pass,false\n",
+            ),
+        ],
+        ids=["wide", "long"],
+    )
+    def test_pinned_bytes(self, long_format, expected):
+        out = io.StringIO()
+        self.REPORT.write_csv(out, long_format=long_format)
+        assert out.getvalue() == expected
 
 
 class TestEstimate:
@@ -440,9 +489,6 @@ class TestRunProcess:
             "run-process", "--config", cfg, "--out", str(out_dir),
             str(scenario_paths["bioweapon"]),
         ]) == 0
-        from darkspec.config import engine_config, load_config_file
-        from darkspec.engine import replay_ledger
-
         persisted = read_ledger(out_dir / "ledger.jsonl")
         assert len(persisted.records) == 10
         engine = engine_config(load_config_file(cfg))
@@ -462,6 +508,29 @@ class TestRunProcess:
         record = json.loads(lines[0])
         assert record["schema_version"] == 1
         assert record["pkre"]["total"] == 5.0
+
+
+class TestReadmeExample:
+    """The README's ``run-process`` example pins the v1 ledger line: the
+    committed fixture is what it wrote when the fixture was made."""
+
+    def test_example_writes_the_fixture(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        assert main([
+            "run-process", "--config", "scenarios/run.cfg", "--out", str(tmp_path),
+            "scenarios/atlanta.licain", "scenarios/bioweapon.licain",
+        ]) == 0
+        assert (tmp_path / "ledger.jsonl").read_bytes() == LEDGER_V1.read_bytes()
+
+    def test_fixture_rewrites_to_the_same_bytes(self, tmp_path):
+        write_ledger(read_ledger(LEDGER_V1), tmp_path / "ledger.jsonl")
+        assert (tmp_path / "ledger.jsonl").read_bytes() == LEDGER_V1.read_bytes()
+
+    def test_fixture_replays_bit_for_bit(self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        persisted = read_ledger(LEDGER_V1)
+        engine = engine_config(load_config_file("scenarios/run.cfg"))
+        assert replay_ledger(persisted, engine) == persisted
 
 
 class TestStopping:
@@ -524,12 +593,21 @@ class TestBadInput:
              "stopping.rho"),
             ("gap-study", GAP_FULL_DETECTION.replace("window = 1.0", "window = 0"), None,
              "'window'"),
+            ("stopping", STOPPING_GEOMETRIC.replace("= 20", "= 3")
+             .replace("= 10.0", "= 1e300").replace("= 0.5", "= 1e200"), None,
+             "stopping.delta_initial"),
+            ("stopping", STOPPING_GEOMETRIC.replace("= 20", "= 30")
+             .replace("= 10.0", "= 1e300").replace("= 0.5", "= 10"), None,
+             "stopping.delta_decay"),
+            ("stopping", STOPPING_GEOMETRIC.replace("= 1.0\ncost.c_spec = 1.0",
+             "= 1e308\ncost.c_spec = 1e308"), None, "cost.c_spec"),
         ],
         ids=[
             "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
             "config-utf8", "jump-rate-nan", "horizon-nan", "drift-inf", "tolerance-key-inf",
             "r-max-31", "r-max-million", "r-max-fraction", "utilities-31", "utilities-nan",
-            "utilities-inf", "rho-2", "rho-0", "window-0",
+            "utilities-inf", "rho-2", "rho-0", "window-0", "delta-overflow",
+            "delta-inf", "cost-inf",
         ],
     )
     def test_exit_two_with_one_line(

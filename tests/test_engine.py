@@ -1,6 +1,9 @@
 """Round loop, moment losses, gates, red lines, and the stopping oracle."""
 
+import json
 import math
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -489,6 +492,51 @@ class TestLedgerPersistence:
         write_ledger(ledger, path)
         persisted = read_ledger(path)
         assert replay_ledger(persisted, config) == persisted
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: "{not json}",
+            lambda d: {**d, "schema_version": 2},
+            lambda d: {"schema_version": 1},
+            lambda d: {k: v for k, v in d.items() if k != "decision"},
+            lambda d: {**d, "surplus": 1},
+            lambda d: {**d, "underwriting": {**d["underwriting"], "surplus": 1}},
+            lambda d: [],
+            lambda d: 7,
+            lambda d: {**d, "pkre": 5.0},
+            lambda d: {**d, "underwriting": []},
+            lambda d: {**d, "observed": [{**d["observed"][0], "source": "guess"}]},
+            lambda d: {**d, "observed": [{**d["observed"][0], "window": -1.0}]},
+            lambda d: b'{"round": "\xff"}',
+        ],
+        ids=[
+            "malformed-json", "schema-version", "missing-keys", "missing-key",
+            "unknown-key", "unknown-nested-key", "list", "number", "pkre-scalar",
+            "nested-list", "bad-source", "negative-window", "not-utf8",
+        ],
+    )
+    def test_read_errors_name_file_and_line(self, tmp_path, edit):
+        ledger, _ = self.build_ledger()
+        feed = (estimate_from_observation("obs", [1.0, 3.0], 2.0),)
+        record = replace(ledger.records[0], observed=feed)
+        path = tmp_path / "ledger.jsonl"
+        write_ledger(RoundLedger(records=(record,)), path)
+        good = path.read_text(encoding="utf-8")
+        bad = edit(json.loads(good))
+        if not isinstance(bad, bytes):
+            bad = (bad if isinstance(bad, str) else json.dumps(bad)).encode("utf-8")
+        path.write_bytes(good.encode("utf-8") + b"\n" + bad + b"\n")
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))}:3: "):
+            read_ledger(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        ledger, _ = self.build_ledger()
+        path = tmp_path / "ledger.jsonl"
+        write_ledger(ledger, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("\n".join(lines) + "\n  \n", encoding="utf-8")
+        assert read_ledger(path) == ledger
 
     def test_red_line_transition_detected_in_sweep(self):
         ledger, _ = self.build_ledger()
