@@ -122,6 +122,35 @@ def _write_report(report: Report, cfg: ExperimentConfig, filename: str, title: s
 # simulate
 
 
+# the most jumps one component's draws may be expected to hold at once: about
+# 240 MB at the 24 bytes a jump costs `estimate` (times, sizes, pooled sizes)
+MAX_EXPECTED_JUMPS = 10**7
+
+
+def _check_expected_jumps(component, elapsed: float, reps: int, window_key: str) -> None:
+    """Reject, before any draw, ``reps`` windows of length ``elapsed`` whose
+    expected jump count passes MAX_EXPECTED_JUMPS. With reps >= 1 the count
+    also bounds each window's Poisson mean, which numpy cannot draw past 1e18."""
+    expected = component.jump_rate * elapsed * reps
+    if not expected <= MAX_EXPECTED_JUMPS:
+        rate_key = f"component.{component.component_id}.jump_rate"
+        raise ConfigError(
+            f"keys {rate_key!r} and {window_key!r} expect {expected:.3g} jumps over "
+            f"{reps} reps, more than the {MAX_EXPECTED_JUMPS:.0e} one component may draw"
+        )
+
+
+def _paths_inputs(cfg: ExperimentConfig):
+    """The components and horizon that simulate and estimate draw paths for,
+    each component's expected jump count checked before any draw."""
+    specs = parse_components(cfg.values)
+    horizon = _as_float(cfg.values, "horizon")
+    for spec in specs:
+        component = spec.component
+        _check_expected_jumps(component, horizon - component.commencement, cfg.reps, "horizon")
+    return specs, horizon
+
+
 def _component_paths(component, horizon: float, cfg: ExperimentConfig):
     """The paths ``sample_paths(component, horizon, cfg.seed, cfg.reps)`` gives,
     drawn through this module's ``sample_path`` and ``derive_seed`` names so
@@ -134,8 +163,7 @@ def _component_paths(component, horizon: float, cfg: ExperimentConfig):
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    specs = parse_components(cfg.values)
-    horizon = _as_float(cfg.values, "horizon")
+    specs, horizon = _paths_inputs(cfg)
     rows = []
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "paths.csv", "w", encoding="utf-8") as out:
@@ -181,8 +209,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def cmd_estimate(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    specs = parse_components(cfg.values)
-    horizon = _as_float(cfg.values, "horizon")
+    specs, horizon = _paths_inputs(cfg)
     rows = []
     estimates = []
     for spec in specs:
@@ -232,6 +259,8 @@ def cmd_gap_study(cfg: ExperimentConfig) -> int:
     window = _as_float(cfg.values, "window", 1.0)
     if not window > 0.0:
         raise ConfigError(f"key 'window' must be > 0, got {cfg.values['window']!r}")
+    for spec in specs:
+        _check_expected_jumps(spec.component, window, cfg.reps, "window")
     study = oracles.gap_study_rows(
         components=[spec.component for spec in specs],
         pis=profile.pis,
@@ -322,12 +351,12 @@ def cmd_run_process(cfg: ExperimentConfig) -> int:
         narratives.append(narrative)
     engine = engine_config(cfg.values)
     rounds = scripted_rounds(cfg.values)
-    observed = []
+    observed = ()  # one tuple for every round, so the ledger writes the feed once
     if "observed_csv" in cfg.values:
         name = cfg.values["observed_csv"]
         try:
             with open(name, "r", encoding="utf-8") as source:
-                observed = read_estimates_csv(source)
+                observed = tuple(read_estimates_csv(source))
         except (UnicodeDecodeError, DomainError) as exc:
             raise ConfigError(f"observed_csv {name}: {exc}") from exc
     ledger = RoundLedger()

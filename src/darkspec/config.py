@@ -319,6 +319,9 @@ def resolve_config(
     long_format: bool,
 ) -> ExperimentConfig:
     values = load_config_file(config_path) if config_path else {}
+    if values.get("observed_csv"):
+        # a relative feed path is relative to the config file, not to the caller
+        values["observed_csv"] = str(Path(config_path).parent / values["observed_csv"])
     return ExperimentConfig(
         kind=kind,
         seed=seed if seed is not None else _as_int(values, "seed", 0),

@@ -26,7 +26,7 @@ from .errors import DomainError, NarrativeInvalidError, ParameterError, RoundAbo
 from .estimation import EstimateSource, RiskEstimate, compute_pkre
 from .narrative import Narrative, validate
 
-LEDGER_SCHEMA_VERSION = 1
+LEDGER_SCHEMA_VERSION = 2  # read_ledger also reads version 1
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +551,9 @@ def _advance(
 
 def _codec(hint):
     """(encode, decode) between a record, or a tuple of records, and its JSON
-    form, read off the dataclass fields and annotations; None for other types."""
+    form, read off the dataclass fields and annotations; None for other types.
+    A record's encoder leaves out the fields named in ``omit``; its decoder
+    takes fields that are already decoded as keywords."""
     if get_origin(hint) is tuple:  # stored as a list
         enc, dec = _codec(get_args(hint)[0])
         return (lambda items: [enc(i) for i in items]), (lambda items: tuple(map(dec, items)))
@@ -564,18 +566,22 @@ def _codec(hint):
     read = attrgetter(*(n + ".value" if isinstance(hints[n], EnumMeta) else n for n in names))
     nested = tuple((n, c) for n in names if (c := _codec(hints[n])))
 
-    def encode(value) -> dict:
+    def encode(value, omit=()) -> dict:
         data = dict(zip(names, read(value)))
+        for name in omit:
+            del data[name]
         for name, (encode_field, _) in nested:
-            data[name] = encode_field(data[name])
+            if name not in omit:
+                data[name] = encode_field(data[name])
         return data
 
-    def decode(data: dict):
+    def decode(data: dict, **decoded):
         for name, (_, decode_field) in nested:
-            data[name] = decode_field(data[name])
+            if name not in decoded:
+                data[name] = decode_field(data[name])
         for name, enum in enums:
             data[name] = enum(data[name])
-        return hint(**data)
+        return hint(**data, **decoded)
 
     return encode, decode
 
@@ -585,36 +591,47 @@ _encode_record, _decode_record = _codec(RoundRecord)
 _PKRE_FIELDS = tuple(f.name for f in fields(RoundRecord) if f.name.startswith("pkre_"))
 
 
-def _ledger_line(record: RoundRecord) -> str:
-    line = _encode_record(record)
+def _ledger_line(record: RoundRecord, previous: RoundRecord | None) -> str:
+    # the feed is left out when it is the very tuple the line before holds:
+    # identity, not equality, since -0.0 == 0.0 and a reader hands the
+    # carried line that same tuple back
+    carried = previous is not None and record.observed is previous.observed
+    line = _encode_record(record, ("observed",) if carried else ())
     line["pkre"] = {name.removeprefix("pkre_"): line.pop(name) for name in _PKRE_FIELDS}
     line["schema_version"] = LEDGER_SCHEMA_VERSION
     # the tree is built here from scalar fields, so it cannot contain itself
     return json.dumps(line, sort_keys=True, check_circular=False) + "\n"
 
 
-def _record_from_line(data) -> RoundRecord:
+def _record_from_line(data, previous: RoundRecord | None) -> RoundRecord:
     """Decode one parsed line in place; a missing or unknown key fails in a constructor."""
     if not isinstance(data, dict):
         raise DomainError(f"a ledger line must be a JSON object, got {type(data).__name__}")
-    if (version := data.pop("schema_version", None)) != LEDGER_SCHEMA_VERSION:
+    version = data.pop("schema_version", None)
+    if version not in (1, LEDGER_SCHEMA_VERSION):
         raise DomainError(f"unsupported ledger schema version {version!r}")
     data.update(("pkre_" + key, value) for key, value in dict(data.pop("pkre")).items())
+    if version != 1 and "observed" not in data and previous is not None:
+        # a v2 line without a feed carries the previous record's tuple over
+        return _decode_record(data, observed=previous.observed)
     return _decode_record(data)
 
 
 def write_ledger(ledger: RoundLedger, path: str | Path) -> None:
     """Persist a whole ledger: one JSON object per round, one per line."""
     with open(path, "w", encoding="utf-8") as out:
+        previous = None
         for record in ledger.records:
-            out.write(_ledger_line(record))
+            out.write(_ledger_line(record, previous))
+            previous = record
 
 
-def append_record(record: RoundRecord, path: str | Path) -> None:
-    """Append one round to a ledger file; the on-disk format is append-only,
-    so a live process can persist each round as it completes."""
+def append_record(record: RoundRecord, path: str | Path, previous: RoundRecord | None) -> None:
+    """Append one round to a ledger file, after ``previous``, the record the
+    file ends with (None for the first), so appending writes the bytes
+    write_ledger does; a live process can persist each round as it completes."""
     with open(path, "a", encoding="utf-8") as out:
-        out.write(_ledger_line(record))
+        out.write(_ledger_line(record, previous))
 
 
 def read_ledger(path: str | Path) -> RoundLedger:
@@ -624,7 +641,8 @@ def read_ledger(path: str | Path) -> RoundLedger:
         for number, line in enumerate(source, start=1):
             try:
                 if line.strip():  # blank lines are skipped
-                    records.append(_record_from_line(json.loads(line.decode("utf-8"))))
+                    data = json.loads(line.decode("utf-8"))
+                    records.append(_record_from_line(data, records[-1] if records else None))
             except (KeyError, TypeError, ValueError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                 raise DomainError(f"{path}:{number}: {detail}") from exc
@@ -635,7 +653,9 @@ def replay_ledger(persisted: RoundLedger, config: EngineConfig) -> RoundLedger:
     """Re-run every round from its recorded inputs under the same config.
 
     The result must reproduce each record bit for bit; a mismatch means the
-    persisted ledger and the engine disagree.
+    persisted ledger and the engine disagree. Each round gets the persisted
+    record's feed tuple itself, so the rebuilt ledger writes its feed on the
+    same lines the persisted one does.
     """
     rebuilt = RoundLedger()
     for record in persisted.records:

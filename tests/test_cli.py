@@ -17,6 +17,7 @@ from darkspec.process import sample_paths, write_paths_csv
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LEDGER_V1 = REPO_ROOT / "tests" / "data" / "ledger_v1.jsonl"
+LEDGER_V2 = REPO_ROOT / "tests" / "data" / "ledger_v2.jsonl"
 
 
 def write_config(path, text):
@@ -506,13 +507,14 @@ class TestRunProcess:
         ])
         lines = (tmp_path / "out" / "ledger.jsonl").read_text().splitlines()
         record = json.loads(lines[0])
-        assert record["schema_version"] == 1
+        assert record["schema_version"] == 2
         assert record["pkre"]["total"] == 5.0
 
 
 class TestReadmeExample:
-    """The README's ``run-process`` example pins the v1 ledger line: the
-    committed fixture is what it wrote when the fixture was made."""
+    """The README's ``run-process`` example pins the ledger line: the v2
+    fixture is what it writes now, the v1 fixture what it wrote before the
+    feed was carried over; both read as the same ledger."""
 
     def test_example_writes_the_fixture(self, tmp_path, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
@@ -520,11 +522,23 @@ class TestReadmeExample:
             "run-process", "--config", "scenarios/run.cfg", "--out", str(tmp_path),
             "scenarios/atlanta.licain", "scenarios/bioweapon.licain",
         ]) == 0
-        assert (tmp_path / "ledger.jsonl").read_bytes() == LEDGER_V1.read_bytes()
+        assert (tmp_path / "ledger.jsonl").read_bytes() == LEDGER_V2.read_bytes()
+
+    def test_example_runs_from_the_scenarios_directory(self, tmp_path, monkeypatch):
+        # observed_csv is relative to the config file, not the working directory
+        monkeypatch.chdir(REPO_ROOT / "scenarios")
+        assert main([
+            "run-process", "--config", "run.cfg", "--out", str(tmp_path),
+            "atlanta.licain", "bioweapon.licain",
+        ]) == 0
+        assert (tmp_path / "ledger.jsonl").read_bytes() == LEDGER_V2.read_bytes()
 
     def test_fixture_rewrites_to_the_same_bytes(self, tmp_path):
-        write_ledger(read_ledger(LEDGER_V1), tmp_path / "ledger.jsonl")
-        assert (tmp_path / "ledger.jsonl").read_bytes() == LEDGER_V1.read_bytes()
+        write_ledger(read_ledger(LEDGER_V2), tmp_path / "ledger.jsonl")
+        assert (tmp_path / "ledger.jsonl").read_bytes() == LEDGER_V2.read_bytes()
+
+    def test_v1_and_v2_fixtures_hold_the_same_ledger(self):
+        assert read_ledger(LEDGER_V1) == read_ledger(LEDGER_V2)
 
     def test_fixture_replays_bit_for_bit(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
@@ -601,13 +615,23 @@ class TestBadInput:
              "stopping.delta_decay"),
             ("stopping", STOPPING_GEOMETRIC.replace("= 1.0\ncost.c_spec = 1.0",
              "= 1e308\ncost.c_spec = 1e308"), None, "cost.c_spec"),
+            # rejected from the expected jump count, before any draw or allocation
+            ("estimate", SIMULATE_MC.replace("horizon = 50.0", "horizon = 1e308"), None,
+             "'horizon'"),
+            ("estimate", SIMULATE_MC.replace("jump_rate = 2.0", "jump_rate = 1e9"), None,
+             "component.a.jump_rate"),
+            ("simulate", SIMULATE_MC.replace("jump_rate = 2.0", "jump_rate = 1e9"), None,
+             "component.a.jump_rate"),
+            ("gap-study", GAP_FULL_DETECTION.replace("jump_rate = 2.0", "jump_rate = 1e9"),
+             None, "component.a.jump_rate"),
         ],
         ids=[
             "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
             "config-utf8", "jump-rate-nan", "horizon-nan", "drift-inf", "tolerance-key-inf",
             "r-max-31", "r-max-million", "r-max-fraction", "utilities-31", "utilities-nan",
             "utilities-inf", "rho-2", "rho-0", "window-0", "delta-overflow",
-            "delta-inf", "cost-inf",
+            "delta-inf", "cost-inf", "estimate-horizon-1e308", "estimate-jump-rate-1e9",
+            "simulate-jump-rate-1e9", "gap-study-jump-rate-1e9",
         ],
     )
     def test_exit_two_with_one_line(
@@ -626,6 +650,35 @@ class TestBadInput:
             path.write_bytes(narrative)
             argv.append(str(path))
         expect_one_error_line(capsys, argv, names)
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_expected_jump_limit_is_inclusive(self, tmp_path, capsys, monkeypatch, command):
+        import darkspec.cli as cli
+
+        # component a expects 2.0 * 50.0 * 3 = 300 jumps
+        monkeypatch.setattr(cli, "MAX_EXPECTED_JUMPS", 300)
+        cfg = write_config(tmp_path / "c.cfg", SIMULATE_MC)
+        argv = [command, "--config", cfg, "--reps", "3", "--out", str(tmp_path / "out")]
+        assert main(argv) in (0, 1)
+        monkeypatch.setattr(cli, "MAX_EXPECTED_JUMPS", 299)
+        expect_one_error_line(capsys, argv, "component.a.jump_rate", "'horizon'")
+
+    def test_expected_jumps_checked_once_per_component(self, tmp_path, monkeypatch):
+        import darkspec.cli as cli
+
+        checked = []
+        check = cli._check_expected_jumps
+
+        def counted(component, *rest):
+            checked.append(component.component_id)
+            return check(component, *rest)
+
+        monkeypatch.setattr(cli, "_check_expected_jumps", counted)
+        two = SIMULATE_MC + SIMULATE_MC.replace("component.a.", "component.b.").replace(
+            "horizon = 50.0", "")
+        cfg = write_config(tmp_path / "c.cfg", two)
+        main(["estimate", "--config", cfg, "--reps", "20", "--out", str(tmp_path / "out")])
+        assert checked == ["a", "b"]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tolerance_flag(self, tmp_path, capsys, value):

@@ -3,7 +3,9 @@
 import json
 import math
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from darkspec import (
     CostModel,
     DomainError,
     EngineConfig,
+    EstimateSource,
     Happening,
     HyperEstimate,
     LossWeights,
@@ -26,6 +29,7 @@ from darkspec import (
     ParameterError,
     PsiShape,
     RedLineConfig,
+    RiskEstimate,
     RoundAbortedError,
     RoundBenefits,
     RoundDeltas,
@@ -45,7 +49,7 @@ from darkspec import (
     statistical_loss,
     write_ledger,
 )
-from darkspec.engine import statistical_delta_new_risk
+from darkspec.engine import append_record, statistical_delta_new_risk
 
 
 def chain_narrative(risk_id: str, round_index: int, stages: int = 3):
@@ -476,14 +480,14 @@ class TestLedgerPersistence:
         assert read_ledger(path) == ledger
 
     def test_incremental_append_equals_bulk_write(self, tmp_path):
-        from darkspec.engine import append_record
-
         ledger, _ = self.build_ledger()
         bulk = tmp_path / "bulk.jsonl"
         incremental = tmp_path / "incremental.jsonl"
         write_ledger(ledger, bulk)
+        previous = None
         for record in ledger.records:
-            append_record(record, incremental)
+            append_record(record, incremental, previous)
+            previous = record
         assert incremental.read_bytes() == bulk.read_bytes()
 
     def test_replay_reproduces_records_bit_identically(self, tmp_path):
@@ -497,7 +501,7 @@ class TestLedgerPersistence:
         "edit",
         [
             lambda d: "{not json}",
-            lambda d: {**d, "schema_version": 2},
+            lambda d: {**d, "schema_version": 3},
             lambda d: {"schema_version": 1},
             lambda d: {k: v for k, v in d.items() if k != "decision"},
             lambda d: {**d, "surplus": 1},
@@ -509,11 +513,13 @@ class TestLedgerPersistence:
             lambda d: {**d, "observed": [{**d["observed"][0], "source": "guess"}]},
             lambda d: {**d, "observed": [{**d["observed"][0], "window": -1.0}]},
             lambda d: b'{"round": "\xff"}',
+            # only a v2 line may carry the feed of the line before it over
+            lambda d: {k: v for k, v in d.items() if k != "observed"} | {"schema_version": 1},
         ],
         ids=[
             "malformed-json", "schema-version", "missing-keys", "missing-key",
             "unknown-key", "unknown-nested-key", "list", "number", "pkre-scalar",
-            "nested-list", "bad-source", "negative-window", "not-utf8",
+            "nested-list", "bad-source", "negative-window", "not-utf8", "v1-without-feed",
         ],
     )
     def test_read_errors_name_file_and_line(self, tmp_path, edit):
@@ -528,6 +534,17 @@ class TestLedgerPersistence:
             bad = (bad if isinstance(bad, str) else json.dumps(bad)).encode("utf-8")
         path.write_bytes(good.encode("utf-8") + b"\n" + bad + b"\n")
         with pytest.raises(DomainError, match=f"^{re.escape(str(path))}:3: "):
+            read_ledger(path)
+
+    def test_first_line_has_no_feed_to_carry(self, tmp_path):
+        ledger, _ = self.build_ledger()
+        path = tmp_path / "ledger.jsonl"
+        write_ledger(ledger, path)
+        first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        del first["observed"]
+        path.write_text("\n" + json.dumps(first) + "\n", encoding="utf-8")
+        expected = f"^{re.escape(str(path))}:2: missing key 'observed'"
+        with pytest.raises(DomainError, match=expected):
             read_ledger(path)
 
     def test_blank_lines_are_skipped(self, tmp_path):
@@ -545,6 +562,74 @@ class TestLedgerPersistence:
         # trajectory 5, 7, 9 against threshold 8: trigger exactly at round 3
         assert totals == [5.0, 7.0, 9.0]
         assert flags == [False, False, True]
+
+
+def feed_of(version: int, zero: float) -> tuple:
+    """A one-row observed feed; ``zero`` (0.0 or -0.0) is its mean severity."""
+    return (RiskEstimate("obs", float(version), zero, 0.0, 1.0, version,
+                         EstimateSource.OBSERVED_HISTORY, total_loss=zero),)
+
+
+class TestCarriedFeed:
+    """A v2 line leaves its feed out when the record holds the very tuple the
+    record before it holds, and reads back with that tuple."""
+
+    config = EngineConfig(
+        costs=CostModel.constant(c_write=1.0, c_spec=2.0),
+        redline=RedLineConfig(nu_star=8.0),
+    )
+
+    @staticmethod
+    def feeds(steps):
+        """Each round's feed, from what each round does to the one before."""
+        feed, version, zero = feed_of(1, 0.0), 1, 0.0
+        for step in steps:
+            if step == "new-equal":
+                feed = tuple([*feed])  # equal, but not the same object
+            elif step == "change":
+                version += 1
+                feed = feed_of(version, zero)
+            elif step == "empty":
+                feed = ()
+            elif step == "flip-zero":  # equal under ==, different bits
+                zero = -zero
+                feed = feed_of(version, zero)
+            yield feed
+
+    @given(st.lists(
+        st.sampled_from(["share", "new-equal", "change", "empty", "flip-zero"]),
+        min_size=1, max_size=8,
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_feed_patterns_round_trip_bit_for_bit(self, steps):
+        ledger = RoundLedger()
+        for i, feed in enumerate(self.feeds(steps), start=1):
+            ledger = run_round(
+                ledger, chain_narrative(f"risk-{i % 3}", i),
+                lambda _n, i=i: UnderwritingResult(0.5 * i, 2.0, 0.5, 1.0),
+                feed, self.config, RoundBenefits(0.5, 0.25),
+            )
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again, appended = (Path(tmp) / n for n in ("a.jsonl", "b.jsonl", "c.jsonl"))
+            write_ledger(ledger, path)
+            persisted = read_ledger(path)
+            # repr tells -0.0 from 0.0, which == does not
+            assert persisted == ledger and repr(persisted) == repr(ledger)
+            write_ledger(persisted, again)
+            assert again.read_bytes() == path.read_bytes()
+            replayed = replay_ledger(persisted, self.config)
+            assert repr(replayed) == repr(persisted)
+            write_ledger(replayed, again)
+            assert again.read_bytes() == path.read_bytes()
+            for previous, record in zip((None, *ledger.records), ledger.records):
+                append_record(record, appended, previous)
+            assert appended.read_bytes() == path.read_bytes()
+            lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        written, read = ledger.records, persisted.records
+        for i in range(1, len(lines)):
+            carried = written[i].observed is written[i - 1].observed
+            assert ("observed" not in lines[i]) == carried
+            assert (read[i].observed is read[i - 1].observed) == carried
 
 
 class TestImaginedMap:
