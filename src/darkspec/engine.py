@@ -608,7 +608,8 @@ def _record_from_line(data, previous: RoundRecord | None) -> RoundRecord:
     if not isinstance(data, dict):
         raise DomainError(f"a ledger line must be a JSON object, got {type(data).__name__}")
     version = data.pop("schema_version", None)
-    if version not in (1, LEDGER_SCHEMA_VERSION):
+    # an int, not a bool or float: true == 1 and 2.0 == 2
+    if type(version) is not int or version not in (1, LEDGER_SCHEMA_VERSION):
         raise DomainError(f"unsupported ledger schema version {version!r}")
     data.update(("pkre_" + key, value) for key, value in dict(data.pop("pkre")).items())
     if version != 1 and "observed" not in data and previous is not None:

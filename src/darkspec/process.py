@@ -5,9 +5,10 @@ sum of nonnegative jump magnitudes. Only the terminal Brownian value is ever
 simulated: no estimator in this package looks inside the window.
 
 Simulation is pure in (component, horizon, seed), so paths can be generated
-in any order or in parallel. Per-path seeds should come from
-:func:`derive_seed`, which folds (root seed, component id, path index) into
-one integer so that path sets are order-independent.
+in any order or in parallel. :func:`simulate_block` draws a block of paths
+from one generator and :func:`sample_path` is its one-path case. Seeds should
+come from :func:`derive_seed`, which folds (root seed, component id, index)
+into one integer so that path sets are order-independent.
 """
 
 from __future__ import annotations
@@ -84,12 +85,12 @@ class PathSample:
     jump_sizes: np.ndarray
     brownian_terminal: float
     terminal_value: float
-    seed: int
 
     def __post_init__(self):
         if len(self.jump_times) != len(self.jump_sizes):
             raise ParameterError("jump_times and jump_sizes must have equal length")
-        if len(self.jump_times) and np.any(np.diff(self.jump_times) < 0.0):
+        times = np.asarray(self.jump_times)
+        if times.size > 1 and (times[1:] < times[:-1]).any():
             raise ParameterError("jump_times must be sorted")
 
     @property
@@ -99,30 +100,50 @@ class PathSample:
     def reconstruct_terminal(self, component: LevyComponent) -> float:
         """Recompute the terminal value from stored fields; must equal
         ``terminal_value`` bit for bit."""
-        elapsed = self.horizon - component.commencement
-        return _terminal_value(
+        sizes = np.asarray(self.jump_sizes, dtype=float)
+        terminals = _terminal_values(
             component.drift,
             component.diffusion,
-            elapsed,
-            self.brownian_terminal,
-            self.jump_sizes,
+            self.horizon - component.commencement,
+            np.array([self.brownian_terminal], dtype=float),
+            sizes,
+            np.array([len(sizes)]),
         )
+        return float(terminals[0])
 
 
-def _terminal_value(
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each run of ``counts[i]`` consecutive values, 0.0 for an empty run.
+
+    Every path sum goes through this one ``np.add.reduceat``: a run's sum is
+    the same whether it is reduced alone or inside a block, which ``np.sum``
+    (summing in another order) does not match bit for bit.
+    """
+    sums = np.zeros(len(counts))
+    nonempty = counts > 0
+    if nonempty.any():
+        starts = np.cumsum(counts) - counts
+        sums[nonempty] = np.add.reduceat(values, starts[nonempty])
+    return sums
+
+
+def _terminal_values(
     drift: float,
     diffusion: float,
     elapsed: float,
-    brownian: float,
+    brownian: np.ndarray,
     jump_sizes: np.ndarray,
-) -> float:
+    counts: np.ndarray,
+) -> np.ndarray:
     # single expression shared by simulation and reconstruction so the
     # "exact reconstruction" invariant holds bitwise
-    return drift * elapsed + diffusion * brownian - float(np.sum(jump_sizes))
+    return drift * elapsed + diffusion * brownian - _segment_sums(jump_sizes, counts)
 
 
 def derive_seed(root_seed: int, component_id: str, path_index: int) -> int:
-    """Deterministic per-(component, path) seed from one experiment root seed."""
+    """Deterministic per-(component, index) seed from one experiment root seed.
+
+    The index is a path's for :func:`sample_paths` and a block's for the CLI."""
     if root_seed < 0 or path_index < 0:
         raise DomainError("root_seed and path_index must be nonnegative")
     digest = hashlib.sha256(component_id.encode("utf-8")).digest()
@@ -131,36 +152,84 @@ def derive_seed(root_seed: int, component_id: str, path_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def sample_path(component: LevyComponent, horizon: float, seed: int) -> PathSample:
-    """Simulate one trajectory of ``component`` up to ``horizon``.
+@dataclass(frozen=True)
+class PathBlock:
+    """``len(counts)`` trajectories of one component, stored flat: path ``i``
+    owns the ``counts[i]`` jumps that follow the ``counts[:i].sum()`` before it
+    in ``jump_times`` (sorted within each path) and ``jump_sizes``."""
 
-    Jump count is Poisson(jump_rate * elapsed); jump times are the sorted
-    order statistics of uniforms on the window; jump sizes are i.i.d. from
-    the severity distribution. Equal seeds give bit-identical paths.
+    component_id: str
+    horizon: float
+    counts: np.ndarray
+    jump_times: np.ndarray
+    jump_sizes: np.ndarray
+    brownian_terminals: np.ndarray
+    terminal_values: np.ndarray
+
+    def paths(self) -> list[PathSample]:
+        """One :class:`PathSample` per path, its jump arrays views into the block."""
+        ends = np.cumsum(self.counts).tolist()
+        starts = [0, *ends[:-1]]
+        return [
+            PathSample(
+                component_id=self.component_id,
+                horizon=self.horizon,
+                jump_times=self.jump_times[start:end],
+                jump_sizes=self.jump_sizes[start:end],
+                brownian_terminal=brownian,
+                terminal_value=terminal,
+            )
+            for start, end, brownian, terminal in zip(
+                starts, ends, self.brownian_terminals.tolist(), self.terminal_values.tolist()
+            )
+        ]
+
+
+def simulate_block(
+    component: LevyComponent, horizon: float, seed: int, n: int
+) -> PathBlock:
+    """Simulate ``n`` trajectories of ``component`` up to ``horizon`` from one
+    generator.
+
+    Jump counts are Poisson(jump_rate * elapsed); each path's jump times are
+    the sorted order statistics of uniforms on the window; jump sizes are
+    i.i.d. from the severity distribution. Equal arguments give bit-identical
+    blocks.
     """
     if horizon < component.commencement:
         raise DomainError(
             f"horizon {horizon} precedes commencement {component.commencement}"
         )
+    if n < 0:
+        raise DomainError("n must be nonnegative")
     elapsed = horizon - component.commencement
     rng = np.random.default_rng(seed)
-    # draw order is part of the determinism contract: count, times, sizes, noise
-    count = int(rng.poisson(component.jump_rate * elapsed))
-    times = np.sort(rng.uniform(component.commencement, horizon, count))
-    sizes = component.severity.sample(rng, count)
-    brownian = float(rng.normal(0.0, math.sqrt(elapsed)))
-    terminal = _terminal_value(
-        component.drift, component.diffusion, elapsed, brownian, sizes
-    )
-    return PathSample(
+    # draw order is part of the determinism contract: every count, then every
+    # time, then every size, then every Brownian terminal
+    counts = rng.poisson(component.jump_rate * elapsed, n)
+    total = int(counts.sum())
+    times = rng.uniform(component.commencement, horizon, total)
+    sizes = component.severity.sample(rng, total)
+    brownian = rng.normal(0.0, math.sqrt(elapsed), n)
+    owner = np.repeat(np.arange(n), counts)
+    times = times[np.lexsort((times, owner))]
+    return PathBlock(
         component_id=component.component_id,
         horizon=horizon,
+        counts=counts,
         jump_times=times,
         jump_sizes=sizes,
-        brownian_terminal=brownian,
-        terminal_value=terminal,
-        seed=seed,
+        brownian_terminals=brownian,
+        terminal_values=_terminal_values(
+            component.drift, component.diffusion, elapsed, brownian, sizes, counts
+        ),
     )
+
+
+def sample_path(component: LevyComponent, horizon: float, seed: int) -> PathSample:
+    """Simulate one trajectory of ``component`` up to ``horizon``: the one-path
+    :func:`simulate_block`. Equal seeds give bit-identical paths."""
+    return simulate_block(component, horizon, seed, 1).paths()[0]
 
 
 def sample_paths(

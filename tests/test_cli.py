@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from darkspec.cli import Report, ReportRow, main
+from darkspec.cli import PATH_BLOCK, Report, ReportRow, main
 from darkspec.config import engine_config, load_config_file, parse_components
 from darkspec.engine import read_ledger, replay_ledger, write_ledger
 from darkspec.estimation import estimate_from_observation, write_estimates_csv
-from darkspec.process import sample_paths, write_paths_csv
+from darkspec.process import derive_seed, simulate_block, write_paths_csv
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -144,13 +144,15 @@ class TestSimulate:
             assert a == b
 
     def test_long_format_flag(self, tmp_path):
-        cfg = write_config(tmp_path / "c.cfg", SIMULATE_MC)
+        # drift only, so that the exit status does not rest on Monte Carlo luck
+        cfg = write_config(tmp_path / "c.cfg", SIMULATE_DETERMINISTIC)
         assert main([
             "simulate", "--config", cfg, "--reps", "200", "--seed", "3",
             "--out", str(tmp_path / "out"), "--long",
         ]) == 0
-        header = (tmp_path / "out" / "moment_report.csv").read_text().splitlines()[0]
-        assert header == "name,field,value"
+        lines = (tmp_path / "out" / "moment_report.csv").read_text().splitlines()
+        assert lines[0] == "name,field,value"
+        assert "a.mean,oracle_value,5.0" in lines
 
 
 class TestReportCsv:
@@ -215,10 +217,12 @@ class TestEstimate:
 
 
 class TestLibraryStreams:
-    """simulate and estimate draw exactly the paths sample_paths gives."""
+    """simulate and estimate draw, for each component, the blocks
+    simulate_block(component, horizon, derive_seed(seed, id, b), ...) gives
+    for b = 0, 1, ..., each PATH_BLOCK paths but the last."""
 
     HORIZON = 8.0
-    REPS = 40
+    REPS = 2 * PATH_BLOCK + 40
     SEED = 17
 
     def run(self, tmp_path, command):
@@ -232,27 +236,37 @@ class TestLibraryStreams:
         components = [
             spec.component for spec in parse_components(load_config_file(cfg))
         ]
-        paths = [
-            sample_paths(component, self.HORIZON, self.SEED, self.REPS)
+        blocks = [
+            [
+                simulate_block(
+                    component, self.HORIZON, derive_seed(self.SEED, component.component_id, b),
+                    min(PATH_BLOCK, self.REPS - first),
+                )
+                for b, first in enumerate(range(0, self.REPS, PATH_BLOCK))
+            ]
             for component in components
         ]
-        return out, components, paths
+        return out, components, blocks
 
     def test_simulate_paths_csv(self, tmp_path):
-        out, _, paths = self.run(tmp_path, "simulate")
+        out, _, blocks = self.run(tmp_path, "simulate")
         expected = io.StringIO()
-        write_paths_csv(paths[0] + paths[1], expected)
+        write_paths_csv(
+            [path for component_blocks in blocks for block in component_blocks
+             for path in block.paths()],
+            expected,
+        )
         assert (out / "paths.csv").read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_estimate_estimates_csv(self, tmp_path):
-        out, components, paths = self.run(tmp_path, "estimate")
+        out, components, blocks = self.run(tmp_path, "estimate")
         estimates = [
             estimate_from_observation(
                 component.component_id,
-                np.concatenate([path.jump_sizes for path in component_paths]),
+                np.concatenate([block.jump_sizes for block in component_blocks]),
                 self.REPS * (self.HORIZON - component.commencement),
             )
-            for component, component_paths in zip(components, paths)
+            for component, component_blocks in zip(components, blocks)
         ]
         expected = io.StringIO()
         write_estimates_csv(estimates, expected)
@@ -650,6 +664,17 @@ class TestBadInput:
             path.write_bytes(narrative)
             argv.append(str(path))
         expect_one_error_line(capsys, argv, names)
+
+    def test_unforeseen_exception_is_one_line_exit_two(self, tmp_path, capsys, monkeypatch):
+        import darkspec.cli as cli
+
+        def broken(cfg):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
+        cfg = write_config(tmp_path / "c.cfg", SIMULATE_DETERMINISTIC)
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
+        expect_one_error_line(capsys, argv, "error: RuntimeError: kernel fault")
 
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_expected_jump_limit_is_inclusive(self, tmp_path, capsys, monkeypatch, command):

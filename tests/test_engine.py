@@ -515,11 +515,15 @@ class TestLedgerPersistence:
             lambda d: b'{"round": "\xff"}',
             # only a v2 line may carry the feed of the line before it over
             lambda d: {k: v for k, v in d.items() if k != "observed"} | {"schema_version": 1},
+            # equal to 1 and 2 but not integers
+            lambda d: {**d, "schema_version": True},
+            lambda d: {**d, "schema_version": 2.0},
         ],
         ids=[
             "malformed-json", "schema-version", "missing-keys", "missing-key",
             "unknown-key", "unknown-nested-key", "list", "number", "pkre-scalar",
             "nested-list", "bad-source", "negative-window", "not-utf8", "v1-without-feed",
+            "bool-version", "float-version",
         ],
     )
     def test_read_errors_name_file_and_line(self, tmp_path, edit):

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,17 +16,21 @@ from darkspec import (
     DomainError,
     Exponential,
     LevyComponent,
+    LogNormal,
     Mixture,
     ParameterError,
+    Pareto,
     PathSample,
     RiskCategory,
     aggregate,
     derive_seed,
     sample_path,
     sample_paths,
+    simulate_block,
     theoretical_moments,
     write_paths_csv,
 )
+from darkspec.cli import PATH_BLOCK, _component_blocks
 
 
 def comp(cid="k", drift=0.0, diffusion=0.0, rate=0.0, severity=None, start=0.0,
@@ -135,6 +140,106 @@ class TestReconstruction:
         horizon = component.commencement + extra
         path = sample_path(component, horizon, seed)
         assert path.reconstruct_terminal(component) == path.terminal_value
+
+
+@st.composite
+def kernel_components(draw):
+    severity = draw(
+        st.sampled_from(
+            [
+                Exponential.from_mean(2.0),
+                LogNormal(mu=-0.5, sigma=1.2),
+                Pareto(scale=1.0, shape=2.5),
+                Mixture((Degenerate(3.0), Pareto(scale=2.0, shape=1.5)), (1.0, 2.0)),
+            ]
+        )
+    )
+    return LevyComponent(
+        component_id=draw(st.sampled_from(["a", "b"])),
+        drift=draw(st.floats(-3.0, 3.0)),
+        diffusion=draw(st.floats(0.0, 2.0)),
+        jump_rate=draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0))),
+        severity=severity,
+        commencement=draw(st.floats(0.0, 2.0)),
+    )
+
+
+def assert_same_block(a, b):
+    assert a.component_id == b.component_id and a.horizon == b.horizon
+    for name in ("counts", "jump_times", "jump_sizes", "brownian_terminals", "terminal_values"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestBlockKernel:
+    @given(
+        kernel_components(),
+        st.one_of(st.just(0.0), st.floats(0.0, 6.0)),  # 0: horizon == commencement
+        st.integers(1, 3000),
+        st.integers(0, 2**31 - 1),
+    )
+    @example(comp(rate=2.0, severity=Pareto(1.0, 2.5), start=1.0), 2.0, 3000, 7)
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_are_independent_sorted_and_reconstruct(self, component, extra, n, seed):
+        horizon = component.commencement + extra
+        blocks = list(_component_blocks(component, horizon, SimpleNamespace(seed=seed, reps=n)))
+        assert [len(block.counts) for block in blocks] == [
+            min(PATH_BLOCK, n - first) for first in range(0, n, PATH_BLOCK)
+        ]
+        for b, block in enumerate(blocks):
+            alone = simulate_block(
+                component, horizon, derive_seed(seed, component.component_id, b),
+                len(block.counts),
+            )
+            assert_same_block(alone, block)
+            assert block.counts.sum() == len(block.jump_sizes) == len(block.jump_times)
+            paths = block.paths()  # PathSample checks each path's times are sorted
+            assert [p.jump_count for p in paths] == block.counts.tolist()
+            assert np.all(block.jump_times >= component.commencement)
+            assert np.all(block.jump_times <= horizon)
+            for path, terminal in zip(paths, block.terminal_values.tolist()):
+                assert path.terminal_value == terminal
+                assert path.reconstruct_terminal(component) == path.terminal_value
+
+    @given(kernel_components(), st.floats(0.0, 6.0), st.integers(0, 2**31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_sample_path_is_the_one_path_block(self, component, extra, seed):
+        horizon = component.commencement + extra
+        path = sample_path(component, horizon, seed)
+        block = simulate_block(component, horizon, seed, 1)
+        assert block.counts.tolist() == [path.jump_count]
+        assert np.array_equal(block.jump_times, path.jump_times)
+        assert np.array_equal(block.jump_sizes, path.jump_sizes)
+        assert block.brownian_terminals.tolist() == [path.brownian_terminal]
+        assert block.terminal_values.tolist() == [path.terminal_value]
+
+    def test_sample_path_draws_are_pinned(self):
+        # the draws sample_path made before it became the one-path block
+        c = comp(drift=0.25, diffusion=0.5, rate=1.5, severity=Pareto(1.0, 2.5), start=1.0)
+        path = sample_path(c, 4.0, seed=2024)
+        assert path.jump_times.tolist() == [
+            1.236176601285997, 1.508857749121145, 1.542471441090564,
+            2.078940675068053, 2.7662779466191907,
+        ]
+        assert path.jump_sizes.tolist() == [
+            1.1683495184132593, 1.1907904891082697, 1.3339820825313615,
+            1.0006011622502247, 1.0483238443622336,
+        ]
+        assert path.brownian_terminal == -2.384034291534199
+
+    def test_unsorted_jump_times_rejected(self):
+        with pytest.raises(ParameterError, match="sorted"):
+            PathSample("k", 5.0, np.array([-1e308, 1e308, 2.0]), np.zeros(3), 0.0, 0.0)
+        PathSample("k", 5.0, np.array([-1e308, 1e308, np.inf]), np.zeros(3), 0.0, 0.0)
+
+    def test_empty_block_and_bad_arguments(self):
+        c = comp(rate=2.0)
+        empty = simulate_block(c, 3.0, seed=1, n=0)
+        assert empty.counts.size == empty.jump_sizes.size == empty.terminal_values.size == 0
+        assert empty.paths() == []
+        with pytest.raises(DomainError):
+            simulate_block(c, 3.0, seed=1, n=-1)
+        with pytest.raises(DomainError):
+            simulate_block(comp(start=2.0), 1.0, seed=1, n=3)
 
 
 class TestSeedDerivation:
@@ -333,8 +438,7 @@ def path_lists(draw, ids):
     paths = []
     for _ in range(draw(st.integers(0, 4))):
         n = draw(st.integers(0, 5))
-        # bounded so that the sort check's np.diff cannot overflow
-        times = sorted(draw(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n)))
+        times = sorted(draw(st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)))
         sizes = draw(st.lists(CSV_FLOATS, min_size=n, max_size=n))
         paths.append(
             PathSample(
@@ -344,7 +448,6 @@ def path_lists(draw, ids):
                 jump_sizes=np.array(sizes, dtype=float),
                 brownian_terminal=0.0,
                 terminal_value=draw(CSV_FLOATS),
-                seed=0,
             )
         )
     return paths
@@ -352,7 +455,7 @@ def path_lists(draw, ids):
 
 class TestCsvWriterMatchesReference:
     @given(path_lists(st.one_of(PARSEABLE_IDS, st.sampled_from(["a\rb", "\r"]))))
-    @example([PathSample("k", 5, np.array([1, 2]), [3, 4], 0.0, -7, 0)])  # ints and a list
+    @example([PathSample("k", 5, np.array([1, 2]), [3, 4], 0.0, -7)])  # ints and a list
     @settings(max_examples=300, deadline=None)
     def test_bytes_equal_reference(self, paths):
         out, ref = io.StringIO(), io.StringIO()
