@@ -9,7 +9,6 @@ the seed. Exit status: 0 all checks passed, 1 a tolerance check failed,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 import time
@@ -46,7 +45,7 @@ from .estimation import (
     write_estimates_csv,
 )
 from .narrative import parse_narrative, validate
-from .process import derive_seed, simulate_block, theoretical_moments, write_paths_csv
+from .process import csv_line, derive_seed, simulate_block, theoretical_moments, write_paths_csv
 from .process import sample_path  # unused here; perfbench/tracer.py wraps this name
 
 
@@ -88,16 +87,15 @@ class Report:
 
     def write_csv(self, out: IO[str], long_format: bool = False) -> None:
         """One row per check (wide), or one ``name,field,value`` row per cell (long)."""
-        writer = csv.writer(out, lineterminator="\n")
         columns = (*_REPORT_VALUES, "pass")
-        writer.writerow(["name", "field", "value"] if long_format else ["name", *columns])
+        out.write(csv_line(["name", "field", "value"] if long_format else ["name", *columns]))
         for row in self.rows:
             cells = [repr(getattr(row, c)) for c in _REPORT_VALUES]
             cells.append(str(row.passed).lower())
             if long_format:
-                writer.writerows([row.name, c, cell] for c, cell in zip(columns, cells))
+                out.writelines(csv_line([row.name, c, cell]) for c, cell in zip(columns, cells))
             else:
-                writer.writerow([row.name, *cells])
+                out.write(csv_line([row.name, *cells]))
 
     def print_summary(self, title: str) -> None:
         print(f"{title} (seed={self.seed}, duration={self.duration:.2f}s)")
@@ -281,12 +279,11 @@ def cmd_gap_study(cfg: ExperimentConfig) -> int:
     )
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "gap_report.csv", "w", encoding="utf-8") as out:
-        writer = csv.writer(out, lineterminator="\n")
         columns = [f.name for f in fields(oracles.GapStudyRow)]
-        writer.writerow(columns)
+        out.write(csv_line(columns))
         for row in study:
             # the id as it is, then every number as its round-trip repr
-            writer.writerow([row.component_id, *(repr(getattr(row, c)) for c in columns[1:])])
+            out.write(csv_line([row.component_id, *(repr(getattr(row, c)) for c in columns[1:])]))
     rows = []
     for row in study:
         rows.append(
@@ -453,10 +450,9 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
     result = optimal_stopping_brute(utilities, rho)
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "stopping.csv", "w", encoding="utf-8") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["round", "utility", "value_if_stop_here"])
+        out.write(csv_line(["round", "utility", "value_if_stop_here"]))
         for r, u in enumerate(utilities, start=1):
-            writer.writerow([r, repr(u), repr(result.values[r])])
+            out.write(csv_line([r, repr(u), repr(result.values[r])]))
     print(f"tau_star = {result.tau_star} (horizon {len(utilities)}, rho={rho})")
     rows = []
     if gate_utilities is not None and rho == 1.0:

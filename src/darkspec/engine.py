@@ -23,7 +23,14 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .errors import DomainError, NarrativeInvalidError, ParameterError, RoundAbortedError
-from .estimation import EstimateSource, RiskEstimate, compute_pkre
+from .estimation import (
+    EstimateSource,
+    PKREResult,
+    RiskEstimate,
+    compute_pkre,
+    estimate_loss_variance,
+    expected_jump_loss,
+)
 from .narrative import Narrative, validate
 
 LEDGER_SCHEMA_VERSION = 2  # read_ledger also reads version 1
@@ -390,25 +397,134 @@ class RoundRecord:
     red_line: bool | None
 
 
+def _add_exact(partials: list[float], x: float) -> list[float] | None:
+    """Shewchuk's non-overlapping partials of ``sum(partials) + x``, exactly:
+    the msum recipe math.fsum runs, zeros dropped as math.fsum drops them. A
+    new list, so ``partials`` keeps its sum; None when the sum is not finite."""
+    out = []
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            out.append(lo)
+        x = hi
+    if x:
+        out.append(x)
+    # once a term or a partial sum is inf or nan, so is every later hi
+    return out if math.isfinite(x) else None
+
+
+def _terms(estimate: RiskEstimate, sign: float = 1.0) -> tuple[float, float]:
+    return sign * expected_jump_loss(estimate), sign * estimate_loss_variance(estimate)
+
+
+_Sums = tuple[list[float], list[float]]  # partials of the loss and the variance terms
+
+
+def _sums(terms, start: _Sums | None = None) -> _Sums | None:
+    """``start`` (or nothing) plus every (loss, variance) pair in ``terms``;
+    None once a sum is not finite."""
+    loss, variance = start or ([], [])
+    for a, b in terms:
+        loss, variance = _add_exact(loss, a), _add_exact(variance, b)
+        if loss is None or variance is None:
+            return None
+    return loss, variance
+
+
+class _RunningPKRE:
+    """The PKRE state of the newest ledger of a chain, which each round moves
+    on in place: the latest underwriting estimate per imagined risk, in
+    first-seen order, the feed tuple folded last, and the partials of the
+    imagined and the observed sums.
+
+    The exact sum of a sum's partials is the exact sum of its terms, so
+    math.fsum over the partials gives what math.fsum over the terms gives,
+    however the terms were added and taken away. A sum with a term or partial
+    that is not finite is None, and a round then sums the lists through
+    compute_pkre, raising or giving inf and nan as compute_pkre does.
+    """
+
+    def __init__(self, records: tuple[RoundRecord, ...]):
+        self.records = records  # those of the ledger this state is for
+        self.imagined: dict[str, RiskEstimate] = {}
+        for r in records:
+            self.imagined[r.risk_id] = r.underwriting.to_estimate(r.risk_id, r.round)
+        self.imagined_sums = _sums(map(_terms, self.imagined.values()))
+        self.feed: tuple[RiskEstimate, ...] | None = None
+        self.observed_sums: _Sums | None = None
+
+    def pkre_after(
+        self,
+        feed: tuple[RiskEstimate, ...],
+        risk_id: str,
+        estimate: RiskEstimate,
+        round_index: int,
+    ) -> tuple[PKREResult, _Sums | None, _Sums | None]:
+        """(PKRE, observed sums, imagined sums) once ``estimate`` is the
+        latest for ``risk_id`` under ``feed``, changing nothing here."""
+        if feed is self.feed:  # identity: a tuple of frozen estimates
+            observed = self.observed_sums
+        else:
+            observed = _sums(map(_terms, feed))
+            if observed is not None:
+                compute_pkre(feed, (), round_index)  # raises on a duplicate id
+        replaced = self.imagined.get(risk_id)
+        swap = [_terms(estimate)]
+        if replaced is not None:
+            swap.insert(0, _terms(replaced, -1.0))
+        imagined = self.imagined_sums and _sums(swap, self.imagined_sums)
+        if imagined is None or observed is None:
+            estimates = list({**self.imagined, risk_id: estimate}.values())
+            # a term that is not finite came or went: start again from the terms
+            imagined = imagined or _sums(map(_terms, estimates))
+            if imagined is None or observed is None:
+                return compute_pkre(feed, estimates, round_index), observed, imagined
+        (observed_loss, observed_variance), (imagined_loss, imagined_variance) = observed, imagined
+        pkre = PKREResult(
+            round=round_index,
+            observed_total=math.fsum(observed_loss),
+            imagined_total=math.fsum(imagined_loss),
+            total=math.fsum(observed_loss + imagined_loss),
+            variance=math.fsum(observed_variance + imagined_variance),
+        )
+        return pkre, observed, imagined
+
+    def ledger(self, records: tuple[RoundRecord, ...]) -> "RoundLedger":
+        """The ledger of ``records``, which this state is now for."""
+        ledger = RoundLedger(records=records)
+        self.records = ledger.records
+        object.__setattr__(ledger, "_running", self)
+        return ledger
+
+
 @dataclass(frozen=True)
 class RoundLedger:
-    """Round records plus the latest underwriting estimate per imagined
-    risk, in first-seen order. The map is derived state: built from the
-    records once when it is not given, read-only, and left out of equality."""
+    """Round records, plus the running PKRE state that keeps a round's PKRE
+    work the same however long the ledger is. The state takes no part in
+    equality, hash or repr: two ledgers are equal when their records are."""
 
     records: tuple[RoundRecord, ...] = ()
-    imagined: Mapping[str, RiskEstimate] | None = field(
-        default=None, compare=False, repr=False
+    _running: _RunningPKRE | None = field(
+        default=None, init=False, compare=False, repr=False
     )
 
-    def __post_init__(self):
-        imagined = self.imagined
-        if imagined is None:
-            imagined = {
-                r.risk_id: r.underwriting.to_estimate(r.risk_id, r.round)
-                for r in self.records
-            }
-        object.__setattr__(self, "imagined", MappingProxyType(imagined))
+    def _state(self) -> _RunningPKRE:
+        """This ledger's running state, built from its records when it has
+        none yet or when a later ledger has moved the shared one on."""
+        state = self._running
+        if state is None or state.records is not self.records:
+            state = _RunningPKRE(self.records)
+            object.__setattr__(self, "_running", state)
+        return state
+
+    @property
+    def imagined(self) -> Mapping[str, RiskEstimate]:
+        """The latest underwriting estimate per imagined risk, in first-seen
+        order: a read-only copy of this ledger's map."""
+        return MappingProxyType(dict(self._state().imagined))
 
     @property
     def next_round(self) -> int:
@@ -475,8 +591,15 @@ def run_round(
     )
 
 
-def _advance(
-    ledger: RoundLedger,
+def _advance(ledger: RoundLedger, **round_inputs) -> RoundLedger:
+    state = ledger._state()
+    record = _next_record(state, ledger.records[-1] if ledger.records else None, **round_inputs)
+    return state.ledger(ledger.records + (record,))
+
+
+def _next_record(
+    state: _RunningPKRE,
+    previous: RoundRecord | None,
     *,
     risk_id: str,
     happening_count: int,
@@ -485,12 +608,15 @@ def _advance(
     benefits: RoundBenefits,
     sponsored: bool,
     config: EngineConfig,
-) -> RoundLedger:
-    round_index = ledger.next_round
-    imagined = dict(ledger.imagined)  # a copy: an aborted round leaves the old map
-    newly_imagined = risk_id not in imagined
-    imagined[risk_id] = underwriting.to_estimate(risk_id, round_index)
-    pkre = compute_pkre(observed_feed, list(imagined.values()), round_index)
+) -> RoundRecord:
+    """The record of the round after ``previous``. ``state`` moves on only
+    once the record is built, so a round that raises leaves it as it was."""
+    round_index = previous.round + 1 if previous else 1
+    estimate = underwriting.to_estimate(risk_id, round_index)
+    newly_imagined = risk_id not in state.imagined
+    pkre, observed_sums, imagined_sums = state.pkre_after(
+        observed_feed, risk_id, estimate, round_index
+    )
 
     costs = config.costs
     paid = RoundCosts(
@@ -509,7 +635,6 @@ def _advance(
         underwriting.severity_variance,
         noise_variance=noise_variance,
     )
-    previous = ledger.records[-1] if ledger.records else None
     deltas = RoundDeltas(
         statistical=statistical,
         mitigation=benefits.mitigation - (previous.benefits.mitigation if previous else 0.0),
@@ -532,7 +657,7 @@ def _advance(
         benefits=benefits,
         sponsored=sponsored,
         newly_imagined=newly_imagined,
-        k_imagined=len(imagined),
+        k_imagined=len(state.imagined) + newly_imagined,
         pkre_total=pkre.total,
         pkre_observed=pkre.observed_total,
         pkre_imagined=pkre.imagined_total,
@@ -542,7 +667,11 @@ def _advance(
         decision=gate.decision,
         red_line=red_line,
     )
-    return RoundLedger(records=ledger.records + (record,), imagined=imagined)
+    state.imagined[risk_id] = estimate
+    state.feed, state.observed_sums, state.imagined_sums = (
+        observed_feed, observed_sums, imagined_sums
+    )
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +787,12 @@ def replay_ledger(persisted: RoundLedger, config: EngineConfig) -> RoundLedger:
     record's feed tuple itself, so the rebuilt ledger writes its feed on the
     same lines the persisted one does.
     """
-    rebuilt = RoundLedger()
+    state = _RunningPKRE(())
+    records: list[RoundRecord] = []
     for record in persisted.records:
-        rebuilt = _advance(
-            rebuilt,
+        records.append(_next_record(
+            state,
+            records[-1] if records else None,
             risk_id=record.risk_id,
             happening_count=record.happening_count,
             underwriting=record.underwriting,
@@ -669,5 +800,5 @@ def replay_ledger(persisted: RoundLedger, config: EngineConfig) -> RoundLedger:
             benefits=record.benefits,
             sponsored=record.sponsored,
             config=config,
-        )
-    return rebuilt
+        ))
+    return state.ledger(tuple(records))

@@ -21,6 +21,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, NoEventsError, ParameterError
+from .process import csv_line
 
 
 class EstimateSource(Enum):
@@ -243,21 +244,18 @@ _ESTIMATE_CSV_HEADER = [
 
 
 def write_estimates_csv(estimates: Iterable[RiskEstimate], out: IO[str]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_ESTIMATE_CSV_HEADER)
+    out.write(csv_line(_ESTIMATE_CSV_HEADER))
     for est in estimates:
-        writer.writerow(
-            [
-                est.component_id,
-                est.source.value,
-                "" if est.round is None else est.round,
-                repr(est.lambda_hat),
-                "" if est.xi_hat is None else repr(est.xi_hat),
-                repr(est.severity_variance),
-                repr(est.window),
-                est.n_events,
-            ]
-        )
+        out.write(csv_line([
+            est.component_id,
+            est.source.value,
+            "" if est.round is None else est.round,
+            repr(est.lambda_hat),
+            "" if est.xi_hat is None else repr(est.xi_hat),
+            repr(est.severity_variance),
+            repr(est.window),
+            est.n_events,
+        ]))
 
 
 def _cell(row: dict, column: str, parse):

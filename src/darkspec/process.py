@@ -328,6 +328,16 @@ class _Echo:
         return text
 
 
+# the csv module quotes a field holding a character of the line terminator;
+# under "\n" alone it would leave a "\r" bare, and a reader splits the row there
+_CRLF_ROW = csv.writer(_Echo(), lineterminator="\r\n").writerow
+
+
+def csv_line(fields: Iterable) -> str:
+    """One CSV row ending in "\n", every field that holds "\n" or "\r" quoted."""
+    return _CRLF_ROW(fields)[:-2] + "\n"
+
+
 def write_paths_csv(paths: Iterable[PathSample], out: IO[str]) -> None:
     """One row per jump plus a terminal row carrying the terminal value.
 
@@ -335,15 +345,12 @@ def write_paths_csv(paths: Iterable[PathSample], out: IO[str]) -> None:
     cells are the ``repr`` of the Python float, which round-trips exactly.
     Each path's rows go out in one ``out.write``.
     """
-    # the csv module decides how an id is quoted, and that depends on the line
-    # terminator: strip "\n" off a row rather than write rows with ""
-    row_text = csv.writer(_Echo(), lineterminator="\n").writerow
-    out.write(row_text(_PATH_CSV_HEADER))
+    out.write(csv_line(_PATH_CSV_HEADER))
     quoted_ids: dict[str, str] = {}
     for index, path in enumerate(paths):
         cid = path.component_id
         if cid not in quoted_ids:
-            quoted_ids[cid] = row_text([cid, ""])[:-1]
+            quoted_ids[cid] = csv_line([cid, ""])[:-1]
         prefix = f"{quoted_ids[cid]}{index},"
         times = np.asarray(path.jump_times, dtype=float).tolist()
         sizes = np.asarray(path.jump_sizes, dtype=float).tolist()

@@ -198,6 +198,15 @@ class TestReportCsv:
         self.REPORT.write_csv(out, long_format=long_format)
         assert out.getvalue() == expected
 
+    @pytest.mark.parametrize("long_format", [False, True], ids=["wide", "long"])
+    def test_a_name_holding_a_carriage_return_reads_back(self, long_format):
+        report = Report(rows=[ReportRow("a\rb.mean", 1.0, 1.05, 0.1)], seed=7, duration=0.0)
+        out = io.StringIO()
+        report.write_csv(out, long_format=long_format)
+        rows = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
+        assert {row[0] for row in rows[1:]} == {"a\rb.mean"}
+        assert len(rows) == (7 if long_format else 2)
+
 
 class TestEstimate:
     def test_pooled_estimates_recover_parameters(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darkspec import (
@@ -36,6 +36,7 @@ from darkspec import (
     RoundLedger,
     UnderwritingResult,
     build_narrative,
+    compute_pkre,
     estimate_from_observation,
     community_precision_condition,
     continuation_constant,
@@ -719,3 +720,142 @@ class TestStatisticalDelta:
         first_moment_term = weights.psi(-6.0)
         assert base - first_moment_term == pytest.approx((2.0 * 18.0) ** 2)
         assert reduced - first_moment_term == pytest.approx((2.0 * 14.0) ** 2)
+
+
+# from subnormal to 1e300: lambda * xi, (xi^2 + s2) / window and loss / window
+# can overflow to inf, and replacing a 1e300 term cancels it exactly
+MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0, 3.0, 1e150, 1e300]),
+    st.integers(-323, 300).map(lambda e: 10.0**e),
+    st.floats(min_value=0.0, max_value=1e300),
+)
+WINDOWS = st.sampled_from([1.0, 0.25, 3.0, 1e-300])
+
+
+@st.composite
+def observed_rows(draw, size):
+    rows = []
+    for j in range(size):
+        n, window = draw(st.integers(0, 3)), draw(WINDOWS)
+        rows.append(RiskEstimate(
+            f"obs-{j}", n / window, draw(MAGNITUDES) if n else None, draw(MAGNITUDES),
+            window, n, EstimateSource.OBSERVED_HISTORY,
+            total_loss=draw(MAGNITUDES) if n else 0.0,
+        ))
+    return tuple(rows)
+
+
+ROUND_STEPS = st.tuples(
+    st.integers(0, 5),  # the risk, so estimates get replaced
+    st.builds(UnderwritingResult, MAGNITUDES, MAGNITUDES, MAGNITUDES, WINDOWS.filter(bool)),
+    st.sampled_from(["same", "equal-new", "different", "duplicate"]),
+    st.integers(0, 3).flatmap(observed_rows),
+)
+
+
+def pkre_bits(values):
+    # what a ledger line holds: nan reads equal to nan, -0.0 differs from 0.0
+    return [repr(float(v)) for v in values]
+
+
+big, unit, zero, inf = (UnderwritingResult(lam, 1.0) for lam in (1e300, 1.0, 0.0, math.inf))
+
+
+class TestRunningPkre:
+    config = EngineConfig(
+        costs=CostModel.constant(c_write=1.0, c_spec=2.0),
+        redline=RedLineConfig(nu_star=8.0),
+    )
+
+    def advance(self, ledger, step, feed):
+        risk, result = f"risk-{step[0]}", step[1]
+        return run_round(
+            ledger, chain_narrative(risk, ledger.next_round), lambda _n: result,
+            feed, self.config, RoundBenefits(0.5, 0.25),
+        )
+
+    @given(st.lists(ROUND_STEPS, min_size=1, max_size=25), st.integers(0, 24), ROUND_STEPS)
+    # a 1.0 left once a 1e300 term is replaced by 0.0: a plain running sum gives 0.0
+    @example(
+        [(0, big, "same", ()), (1, unit, "same", ()), (0, zero, "same", ())], 0, (1, unit, "same", ())
+    )
+    # an inf term replaced by a finite one, after a duplicate feed was turned away
+    @example([(0, inf, "different", feed_of(1, 0.0)), (1, unit, "same", ()),
+              (1, unit, "duplicate", ()), (0, unit, "same", ())], 1, (0, big, "different", ()))
+    @settings(max_examples=200, deadline=None)
+    def test_records_match_compute_pkre_every_round(self, steps, older_index, extra):
+        ledger, feed, history = RoundLedger(), (), []
+        for step in steps:
+            _, result, change, rows = step
+            some = rows or feed or feed_of(1, 0.0)
+            round_feed = {
+                "same": feed,
+                "equal-new": tuple([*feed]),
+                "different": rows,
+                "duplicate": some + some[:1],
+            }[change]
+            risk = f"risk-{step[0]}"
+            expected_map = {
+                **ledger.imagined, risk: result.to_estimate(risk, ledger.next_round)
+            }
+            try:
+                expected = compute_pkre(round_feed, list(expected_map.values()), ledger.next_round)
+            except (ValueError, OverflowError) as exc:  # DomainError is a ValueError
+                before = (ledger.records, dict(ledger.imagined))
+                with pytest.raises(type(exc)):
+                    self.advance(ledger, step, round_feed)
+                assert (ledger.records, dict(ledger.imagined)) == before
+                continue
+            assert change != "duplicate"
+            history.append(ledger)
+            ledger, feed = self.advance(ledger, step, round_feed), round_feed
+            record = ledger.records[-1]
+            assert list(ledger.imagined.items()) == list(expected_map.items())
+            written = (record.pkre_total, record.pkre_observed, record.pkre_imagined,
+                       record.pkre_variance)
+            assert pkre_bits(written) == pkre_bits(
+                (expected.total, expected.observed_total, expected.imagined_total,
+                 expected.variance)
+            )
+        if history:
+            # an older ledger, whose running state a later round has moved on
+            older = history[older_index % len(history)]
+            outcomes = []
+            for start in (older, RoundLedger(records=older.records)):
+                try:
+                    outcomes.append(repr(self.advance(start, extra, extra[3])))
+                except (ValueError, OverflowError) as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1]
+
+
+class TestLinearWork:
+    def test_term_evaluations_grow_with_rounds_not_with_the_ledger(self, monkeypatch):
+        from darkspec import engine, estimation
+
+        rounds, feed = 300, tuple(
+            estimate_from_observation(f"obs-{j}", [1.0 + j, 2.0], 4.0) for j in range(50)
+        )
+        counts = {}
+        for name in ("expected_jump_loss", "estimate_loss_variance"):
+            counts[name] = 0
+
+            def counted(*args, name=name, original=getattr(estimation, name), **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            # the names both modules call the term functions through
+            for module in (estimation, engine):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        config = EngineConfig(costs=CostModel.constant(c_write=1.0, c_spec=2.0))
+        ledger = RoundLedger()
+        for r in range(1, rounds + 1):
+            ledger = run_round(
+                ledger, chain_narrative(f"risk-{r}", r),
+                lambda _n, r=r: UnderwritingResult(0.01 * r, 2.0, 0.5),
+                feed, config, RoundBenefits(0.0, 0.0),
+            )
+        # every estimate's terms are evaluated, and each at most twice; summing
+        # all of them every round, as the engine once did, takes 60,150 each
+        for name, count in counts.items():
+            assert rounds + len(feed) <= count <= 2 * (rounds + len(feed)), name

@@ -366,3 +366,10 @@ class TestCsvRoundTrip:
             assert loaded.severity_variance == orig.severity_variance
             assert loaded.window == orig.window
             assert loaded.n_events == orig.n_events
+
+    @pytest.mark.parametrize("cid", ["a\rb", "\r", "x\r\ny", "a,b"])
+    def test_any_id_reads_back(self, cid):
+        out = io.StringIO()
+        write_estimates_csv([estimate_from_observation(cid, [1.0, 3.0], 6.0)], out)
+        [loaded] = read_estimates_csv(io.StringIO(out.getvalue(), newline=""))
+        assert loaded.component_id == cid
