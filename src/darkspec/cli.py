@@ -45,8 +45,8 @@ from .estimation import (
     write_estimates_csv,
 )
 from .narrative import parse_narrative, validate
-from .process import csv_line, derive_seed, simulate_block, theoretical_moments, write_paths_csv
-from .process import sample_path  # unused here; perfbench/tracer.py wraps this name
+from .process import csv_line, sample_blocks, theoretical_moments, write_paths_csv
+from .process import derive_seed, sample_path  # unused here; perfbench/tracer.py wraps these names
 
 
 @dataclass(frozen=True)
@@ -150,21 +150,6 @@ def _paths_inputs(cfg: ExperimentConfig):
     return specs, horizon
 
 
-# paths per block of the simulate and estimate streams: block b of a component
-# is drawn from derive_seed(seed, component_id, b), so this is part of the
-# stream definition, not a setting
-PATH_BLOCK = 1024
-
-
-def _component_blocks(component, horizon: float, cfg: ExperimentConfig):
-    """``cfg.reps`` paths of ``component`` in blocks of PATH_BLOCK paths, each
-    seeded through this module's ``derive_seed`` name, so that the output
-    depends on neither chunking nor order."""
-    for block, first in enumerate(range(0, cfg.reps, PATH_BLOCK)):
-        seed = derive_seed(cfg.seed, component.component_id, block)
-        yield simulate_block(component, horizon, seed, min(PATH_BLOCK, cfg.reps - first))
-
-
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     specs, horizon = _paths_inputs(cfg)
@@ -172,7 +157,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "paths.csv", "w", encoding="utf-8") as out:
         per_component = [
-            list(_component_blocks(spec.component, horizon, cfg)) for spec in specs
+            list(sample_blocks(spec.component, horizon, cfg.seed, cfg.reps)) for spec in specs
         ]
         write_paths_csv(
             [path for blocks in per_component for block in blocks for path in block.paths()],
@@ -222,7 +207,7 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
     for spec in specs:
         component = spec.component
         pooled = np.concatenate(
-            [block.jump_sizes for block in _component_blocks(component, horizon, cfg)]
+            [block.jump_sizes for block in sample_blocks(component, horizon, cfg.seed, cfg.reps)]
         )
         window = cfg.reps * (horizon - component.commencement)
         estimate = estimate_from_observation(component.component_id, pooled, window)

@@ -6,9 +6,9 @@ simulated: no estimator in this package looks inside the window.
 
 Simulation is pure in (component, horizon, seed), so paths can be generated
 in any order or in parallel. :func:`simulate_block` draws a block of paths
-from one generator and :func:`sample_path` is its one-path case. Seeds should
-come from :func:`derive_seed`, which folds (root seed, component id, index)
-into one integer so that path sets are order-independent.
+from one generator, :func:`sample_path` is its one-path case, and
+:func:`sample_blocks` is the one stream of n paths under a root seed, its
+blocks seeded by :func:`derive_seed` so that they are order-independent.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -141,9 +141,8 @@ def _terminal_values(
 
 
 def derive_seed(root_seed: int, component_id: str, path_index: int) -> int:
-    """Deterministic per-(component, index) seed from one experiment root seed.
-
-    The index is a path's for :func:`sample_paths` and a block's for the CLI."""
+    """Deterministic seed of block ``path_index`` of a component's
+    :func:`sample_blocks` stream under one experiment root seed."""
     if root_seed < 0 or path_index < 0:
         raise DomainError("root_seed and path_index must be nonnegative")
     digest = hashlib.sha256(component_id.encode("utf-8")).digest()
@@ -232,16 +231,32 @@ def sample_path(component: LevyComponent, horizon: float, seed: int) -> PathSamp
     return simulate_block(component, horizon, seed, 1).paths()[0]
 
 
+# paths per block of sample_blocks: part of the stream, not a setting
+PATH_BLOCK = 1024
+
+
+def sample_blocks(
+    component: LevyComponent, horizon: float, root_seed: int, n_paths: int
+) -> Iterator[PathBlock]:
+    """``n_paths`` trajectories under one root seed, in blocks of PATH_BLOCK
+    paths (the last holds the rest); block b's seed is derive_seed's for b."""
+    if n_paths < 0:
+        raise DomainError("n_paths must be nonnegative")
+    return (
+        simulate_block(
+            component, horizon, derive_seed(root_seed, component.component_id, b),
+            min(PATH_BLOCK, n_paths - first),
+        )
+        for b, first in enumerate(range(0, n_paths, PATH_BLOCK))
+    )
+
+
 def sample_paths(
     component: LevyComponent, horizon: float, root_seed: int, n_paths: int
 ) -> list[PathSample]:
-    """Simulate ``n_paths`` independent trajectories under one root seed."""
-    if n_paths < 0:
-        raise DomainError("n_paths must be nonnegative")
-    return [
-        sample_path(component, horizon, derive_seed(root_seed, component.component_id, i))
-        for i in range(n_paths)
-    ]
+    """The paths of :func:`sample_blocks`, in order."""
+    blocks = sample_blocks(component, horizon, root_seed, n_paths)
+    return [path for block in blocks for path in block.paths()]
 
 
 def aggregate(components: Sequence[LevyComponent]) -> LevyComponent:

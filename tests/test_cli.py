@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from darkspec.cli import PATH_BLOCK, Report, ReportRow, main
+from darkspec.cli import Report, ReportRow, main
 from darkspec.config import engine_config, load_config_file, parse_components
 from darkspec.engine import read_ledger, replay_ledger, write_ledger
 from darkspec.estimation import estimate_from_observation, write_estimates_csv
-from darkspec.process import derive_seed, simulate_block, write_paths_csv
+from darkspec.process import (
+    PATH_BLOCK, derive_seed, sample_paths, simulate_block, write_paths_csv,
+)
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -258,7 +260,7 @@ class TestLibraryStreams:
         return out, components, blocks
 
     def test_simulate_paths_csv(self, tmp_path):
-        out, _, blocks = self.run(tmp_path, "simulate")
+        out, components, blocks = self.run(tmp_path, "simulate")
         expected = io.StringIO()
         write_paths_csv(
             [path for component_blocks in blocks for block in component_blocks
@@ -266,6 +268,14 @@ class TestLibraryStreams:
             expected,
         )
         assert (out / "paths.csv").read_bytes() == expected.getvalue().encode("utf-8")
+        # the library's sample_paths is the same stream, components in id order
+        library = io.StringIO()
+        write_paths_csv(
+            [path for component in components
+             for path in sample_paths(component, self.HORIZON, self.SEED, self.REPS)],
+            library,
+        )
+        assert (out / "paths.csv").read_bytes() == library.getvalue().encode("utf-8")
 
     def test_estimate_estimates_csv(self, tmp_path):
         out, components, blocks = self.run(tmp_path, "estimate")

@@ -22,9 +22,7 @@ from darkspec import (
     estimate_severity,
     expected_jump_loss,
     jump_loss_variance,
-    sample_path,
     sample_paths,
-    derive_seed,
 )
 from darkspec.estimation import (
     estimate_loss_variance,
@@ -106,12 +104,8 @@ class TestExpectedJumpLoss:
     def test_monte_carlo_matches_rate_times_mean(self):
         c = LevyComponent("k", 0.0, 0.0, 2.0, Exponential.from_mean(3.0))
         losses = [
-            expected_jump_loss(
-                estimate_from_observation(
-                    "k", sample_path(c, 200.0, derive_seed(3, "k", i)).jump_sizes, 200.0
-                )
-            )
-            for i in range(400)
+            expected_jump_loss(estimate_from_observation("k", p.jump_sizes, 200.0))
+            for p in sample_paths(c, 200.0, 3, 400)
         ]
         losses = np.array(losses)
         se = losses.std(ddof=1) / math.sqrt(len(losses))

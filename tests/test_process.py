@@ -3,7 +3,6 @@
 import csv
 import io
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,8 +29,7 @@ from darkspec import (
     theoretical_moments,
     write_paths_csv,
 )
-from darkspec.cli import PATH_BLOCK, _component_blocks
-from darkspec.process import csv_line
+from darkspec.process import PATH_BLOCK, csv_line, sample_blocks
 
 
 def comp(cid="k", drift=0.0, diffusion=0.0, rate=0.0, severity=None, start=0.0,
@@ -77,10 +75,7 @@ class TestSamplePath:
         # lambda=2, Exp(rate 0.5) so mean jump 2; over T=100 the expected
         # total loss is 2*100*2 = 400
         c = comp(rate=2.0, severity=Exponential(rate=0.5))
-        losses = np.array(
-            [-sample_path(c, 100.0, derive_seed(31, "k", i)).terminal_value
-             for i in range(10_000)]
-        )
+        losses = np.array([-p.terminal_value for p in sample_paths(c, 100.0, 31, 10_000)])
         se = losses.std(ddof=1) / math.sqrt(len(losses))
         assert abs(losses.mean() - 400.0) <= 3.0 * se
 
@@ -95,10 +90,7 @@ class TestSamplePath:
         # counts over 10,000 paths vs Poisson(lambda * dt) at alpha = 0.01
         c = comp(rate=2.0, start=1.0)
         dt = 2.0
-        counts = np.array(
-            [sample_path(c, 1.0 + dt, derive_seed(17, "k", i)).jump_count
-             for i in range(10_000)]
-        )
+        counts = np.array([p.jump_count for p in sample_paths(c, 1.0 + dt, 17, 10_000)])
         mean = c.jump_rate * dt
         top = int(counts.max()) + 1
         observed = np.bincount(counts, minlength=top + 1).astype(float)
@@ -182,7 +174,7 @@ class TestBlockKernel:
     @settings(max_examples=40, deadline=None)
     def test_blocks_are_independent_sorted_and_reconstruct(self, component, extra, n, seed):
         horizon = component.commencement + extra
-        blocks = list(_component_blocks(component, horizon, SimpleNamespace(seed=seed, reps=n)))
+        blocks = list(sample_blocks(component, horizon, seed, n))
         assert [len(block.counts) for block in blocks] == [
             min(PATH_BLOCK, n - first) for first in range(0, n, PATH_BLOCK)
         ]
@@ -245,14 +237,21 @@ class TestBlockKernel:
 
 class TestSeedDerivation:
     def test_path_sets_are_order_independent(self):
-        c = comp(rate=1.0)
-        batch = sample_paths(c, 10.0, root_seed=5, n_paths=8)
-        individually = [
-            sample_path(c, 10.0, derive_seed(5, "k", i)) for i in (3, 6, 0)
-        ]
-        for want, got in zip((batch[3], batch[6], batch[0]), individually):
+        # sample_paths is the block stream: block b is simulate_block under
+        # derive_seed(root, id, b), whichever block is drawn first
+        c = comp(drift=0.5, diffusion=1.0, rate=1.0)
+        batch = sample_paths(c, 10.0, root_seed=5, n_paths=PATH_BLOCK + 40)
+        second = simulate_block(c, 10.0, derive_seed(5, "k", 1), 40)  # drawn first
+        first = simulate_block(c, 10.0, derive_seed(5, "k", 0), PATH_BLOCK)
+        individually = first.paths() + second.paths()
+        assert len(batch) == len(individually) == PATH_BLOCK + 40
+        for want, got in zip(batch, individually):
+            assert np.array_equal(want.jump_times, got.jump_times)
             assert np.array_equal(want.jump_sizes, got.jump_sizes)
+            assert want.brownian_terminal == got.brownian_terminal
             assert want.terminal_value == got.terminal_value
+        with pytest.raises(DomainError, match="n_paths"):
+            sample_blocks(c, 10.0, 5, -1)  # at the call, before any block is drawn
 
     def test_distinct_components_get_distinct_streams(self):
         assert derive_seed(1, "a", 0) != derive_seed(1, "b", 0)
