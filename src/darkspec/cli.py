@@ -23,6 +23,7 @@ from .config import (
     ExperimentConfig,
     detection_profile,
     engine_config,
+    naming_keys,
     parse_components,
     resolve_config,
     scripted_rounds,
@@ -212,7 +213,7 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
         window = cfg.reps * (horizon - component.commencement)
         estimate = estimate_from_observation(component.component_id, pooled, window)
         estimates.append(estimate)
-        rate_se = math.sqrt(component.jump_rate / window) if window > 0 else 0.0
+        rate_se = math.sqrt(component.jump_rate / window)
         rows.append(
             ReportRow(
                 name=f"{component.component_id}.lambda_hat",
@@ -246,8 +247,6 @@ def cmd_gap_study(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     specs = parse_components(cfg.values)
     profile = detection_profile(specs)  # validates pi before any simulation
-    sigma_eps = tuple(spec.sigma_eps for spec in specs)
-    with_error = any(s > 0.0 for s in sigma_eps)
     window = _as_float(cfg.values, "window", 1.0)
     if not window > 0.0:
         raise ConfigError(f"key 'window' must be > 0, got {cfg.values['window']!r}")
@@ -257,10 +256,9 @@ def cmd_gap_study(cfg: ExperimentConfig) -> int:
         components=[spec.component for spec in specs],
         pis=profile.pis,
         window=window,
-        bias_reps=cfg.reps,
-        var_reps=cfg.reps,
+        reps=cfg.reps,
         seed=cfg.seed,
-        sigma_eps=sigma_eps if with_error else None,
+        sigma_eps=[spec.sigma_eps for spec in specs],
     )
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "gap_report.csv", "w", encoding="utf-8") as out:
@@ -352,11 +350,9 @@ def cmd_run_process(cfg: ExperimentConfig) -> int:
             raise ConfigError(f"observed_csv {name}: {exc}") from exc
     ledger = RoundLedger()
     for index, script in enumerate(rounds):
-        narrative = narratives[index % len(narratives)]
-        if narrative.round != ledger.next_round:
-            # scripted reuse of one narrative file across rounds is allowed;
-            # renumber so the ledger's strict round ordering holds
-            narrative = _renumber(narrative, ledger.next_round, index)
+        # a narrative file is one risk: a round that reuses the file
+        # re-speculates that risk under the ledger's next round number
+        narrative = replace(narratives[index % len(narratives)], round=ledger.next_round)
         ledger = run_round(
             ledger,
             narrative,
@@ -376,11 +372,6 @@ def cmd_run_process(cfg: ExperimentConfig) -> int:
     write_ledger(ledger, cfg.out / "ledger.jsonl")
     print(f"ledger: {cfg.out / 'ledger.jsonl'} ({len(ledger.records)} rounds)")
     return 0
-
-
-def _renumber(narrative, round_index: int, file_index: int):
-    risk = narrative.risk_id if file_index == 0 else f"{narrative.risk_id}-{file_index}"
-    return replace(narrative, round=round_index, risk_id=risk)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +396,7 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
                 f"key 'stopping.utilities' must be at most {MAX_STOPPING_HORIZON} "
                 f"finite numbers, got {text!r}"
             )
-        gate_utilities = None
+        costs = None
     else:
         r_max = _as_float(cfg.values, "stopping.R_max", 20)
         if not (r_max.is_integer() and 1 <= r_max <= MAX_STOPPING_HORIZON):
@@ -416,7 +407,11 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
         horizon = int(r_max)
         initial = _as_float(cfg.values, "stopping.delta_initial")
         decay = _as_float(cfg.values, "stopping.delta_decay")
-        cost = _as_float(cfg.values, "cost.c_write") + _as_float(cfg.values, "cost.c_spec")
+        with naming_keys("cost.c_write", "cost.c_spec"):
+            costs = CostModel.constant(
+                c_write=_as_float(cfg.values, "cost.c_write"),
+                c_spec=_as_float(cfg.values, "cost.c_spec"),
+            )
         try:
             deltas = [initial * decay**r for r in range(1, horizon + 1)]
         except OverflowError:
@@ -426,12 +421,11 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
                 "keys 'stopping.delta_initial' and 'stopping.delta_decay' give a "
                 f"round delta that overflows over {horizon} rounds"
             )
-        utilities = [d - cost for d in deltas]
+        utilities = [d - (costs.c_write + costs.c_spec) for d in deltas]
         if not all(map(math.isfinite, utilities)):
             raise ConfigError(
                 "keys 'cost.c_write' and 'cost.c_spec' give a non-finite round utility"
             )
-        gate_utilities = (deltas, cost)
     result = optimal_stopping_brute(utilities, rho)
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "stopping.csv", "w", encoding="utf-8") as out:
@@ -440,16 +434,11 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
             out.write(csv_line([r, repr(u), repr(result.values[r])]))
     print(f"tau_star = {result.tau_star} (horizon {len(utilities)}, rho={rho})")
     rows = []
-    if gate_utilities is not None and rho == 1.0:
-        deltas, cost = gate_utilities
-        gate_costs = CostModel.constant(
-            c_write=_as_float(cfg.values, "cost.c_write"),
-            c_spec=_as_float(cfg.values, "cost.c_spec"),
-        )
+    if costs is not None and rho == 1.0:
         completed = 0
         for r, delta in enumerate(deltas, start=1):
             gate = continuation_constant(
-                gate_costs, RoundDeltas(statistical=delta, mitigation=0.0, option=0.0)
+                costs, RoundDeltas(statistical=delta, mitigation=0.0, option=0.0)
             )
             if not gate.continue_:
                 break
@@ -519,10 +508,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NarrativeSyntaxError as exc:
         print(f"error: narrative parse failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, DarkspecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DarkspecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

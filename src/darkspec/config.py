@@ -9,6 +9,7 @@ settings under `cost.*`, `quality.*`, `weights.*`, `redline.*`, and
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -24,7 +25,7 @@ from .engine import (
     RoundBenefits,
     UnderwritingResult,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .process import LevyComponent, RiskCategory
 from .severity import (
     Degenerate,
@@ -93,6 +94,17 @@ def _as_int(values: Mapping[str, str], key: str, default: int | None = None) -> 
         return int(values[key])
     except ValueError:
         raise ConfigError(f"key {key!r} must be an integer, got {values[key]!r}")
+
+
+@contextmanager
+def naming_keys(*keys: str):
+    """Re-raise a model constructor's ParameterError as a ConfigError that
+    names the config keys the model was built from."""
+    try:
+        yield
+    except ParameterError as exc:
+        names = ", ".join(repr(key) for key in keys)
+        raise ConfigError(f"{'keys' if len(keys) > 1 else 'key'} {names}: {exc}") from exc
 
 
 def _as_bool(values: Mapping[str, str], key: str, default: bool = False) -> bool:
@@ -169,67 +181,63 @@ def parse_components(values: Mapping[str, str]) -> list[ComponentSpec]:
         pi = None
         if f"{prefix}.pi" in values:
             pi = _as_float(values, f"{prefix}.pi")
-        specs.append(
-            ComponentSpec(
-                component=component,
-                pi=pi,
-                sigma_eps=_as_float(values, f"{prefix}.sigma_eps", 0.0),
-            )
-        )
+        sigma_eps = _as_float(values, f"{prefix}.sigma_eps", 0.0)
+        if sigma_eps < 0.0:
+            raise ConfigError(f"key '{prefix}.sigma_eps' must be >= 0, got {sigma_eps}")
+        specs.append(ComponentSpec(component=component, pi=pi, sigma_eps=sigma_eps))
     return specs
 
 
 def detection_profile(specs: list[ComponentSpec]) -> ConstantDetection:
-    pis = []
     for spec in specs:
+        cid = spec.component.component_id
         if spec.pi is None:
-            raise ConfigError(
-                f"component {spec.component.component_id!r} needs a 'pi' for a gap study"
-            )
-        pis.append(spec.pi)
-    try:
-        return ConstantDetection(tuple(pis))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"component {cid!r} needs a 'pi' for a gap study")
+        with naming_keys(f"component.{cid}.pi"):
+            ConstantDetection((spec.pi,))  # checks this pi alone, so the error names its key
+    return ConstantDetection(tuple(spec.pi for spec in specs))
 
 
 def engine_config(values: Mapping[str, str]) -> EngineConfig:
     if _as_bool(values, "cost.variable", False):
-        costs = CostModel.variable_cost(
-            c_write=_as_float(values, "cost.c_write"),
-            c_obs=_as_float(values, "cost.c_obs", 0.0),
-        )
+        with naming_keys("cost.c_write", "cost.c_obs"):
+            costs = CostModel.variable_cost(
+                c_write=_as_float(values, "cost.c_write"),
+                c_obs=_as_float(values, "cost.c_obs", 0.0),
+            )
     else:
-        costs = CostModel.constant(
-            c_write=_as_float(values, "cost.c_write"),
-            c_spec=_as_float(values, "cost.c_spec"),
-            c_obs=_as_float(values, "cost.c_obs", 0.0),
-        )
+        with naming_keys("cost.c_write", "cost.c_spec", "cost.c_obs"):
+            costs = CostModel.constant(
+                c_write=_as_float(values, "cost.c_write"),
+                c_spec=_as_float(values, "cost.c_spec"),
+                c_obs=_as_float(values, "cost.c_obs", 0.0),
+            )
     shape_text = values.get("weights.psi_shape", "quadratic").lower()
     try:
         shape = PsiShape(shape_text)
     except ValueError:
         raise ConfigError(f"unknown psi_shape {shape_text!r}")
-    weights = LossWeights(
-        d1=_as_float(values, "weights.D1", 1.0),
-        d2=_as_float(values, "weights.D2", 1.0),
-        psi_shape=shape,
-        phi=_as_float(values, "weights.phi", 1.0),
-    )
+    with naming_keys("weights.D1", "weights.D2"):
+        weights = LossWeights(
+            d1=_as_float(values, "weights.D1", 1.0),
+            d2=_as_float(values, "weights.D2", 1.0),
+            psi_shape=shape,
+            phi=_as_float(values, "weights.phi", 1.0),
+        )
     quality = None
     if any(key.startswith("quality.") for key in values):
-        quality = NarrativeQuality(
-            sigma2_max=_as_float(values, "quality.sigma2_max"),
-            sigma2_min=_as_float(values, "quality.sigma2_min"),
-            eta=_as_float(values, "quality.eta"),
-        )
+        with naming_keys("quality.sigma2_max", "quality.sigma2_min", "quality.eta"):
+            quality = NarrativeQuality(
+                sigma2_max=_as_float(values, "quality.sigma2_max"),
+                sigma2_min=_as_float(values, "quality.sigma2_min"),
+                eta=_as_float(values, "quality.eta"),
+            )
     redline = None
     if "redline.nu_star" in values:
-        redline = RedLineConfig(nu_star=_as_float(values, "redline.nu_star"))
-    try:
+        with naming_keys("redline.nu_star"):
+            redline = RedLineConfig(nu_star=_as_float(values, "redline.nu_star"))
+    with naming_keys("cost.variable", "quality.sigma2_max", "quality.sigma2_min", "quality.eta"):
         return EngineConfig(costs=costs, weights=weights, quality=quality, redline=redline)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)

@@ -176,36 +176,32 @@ def gap_study_rows(
     components: Sequence[LevyComponent],
     pis: Sequence[float],
     window: float,
-    bias_reps: int,
-    var_reps: int,
+    reps: int,
     seed: int,
-    sigma_eps: Sequence[float] | None = None,
+    sigma_eps: Sequence[float],
 ) -> list[GapStudyRow]:
     """Per-component formula-vs-Monte-Carlo comparison rows.
 
     Bias uses component-level thinning against (pi - 1) * rate * mean;
-    the variance gap uses event-level thinning against
-    (pi - 1) * rate * (mean^2 + var) / window, both per component.
+    the variance gap, var(thinned) - var(noisy), uses event-level thinning
+    against (pi - 1) * rate * (mean^2 + var) / window - rate * sigma_eps^2 /
+    window, both per component. sigma_eps = 0 draws no noise, so the noisy
+    sums are the full ones and the row is the plain variance gap.
     """
-    if len(pis) != len(components):
-        raise DomainError("pis must align with components")
+    if len(pis) != len(components) or len(sigma_eps) != len(components):
+        raise DomainError("pis and sigma_eps must align with components")
     rows = []
-    for offset, (comp, pi) in enumerate(zip(components, pis)):
+    for offset, (comp, pi, s_eps) in enumerate(zip(components, pis, sigma_eps)):
         xi = comp.severity.mean()
         s2 = comp.severity.variance()
         rate = comp.jump_rate
         bias_formula = (pi - 1.0) * rate * xi
-        bias = bias_thinning_mc([rate * xi], [pi], bias_reps, seed + 2 * offset)
-        var_formula = (pi - 1.0) * rate * (xi * xi + s2) / window
+        bias = bias_thinning_mc([rate * xi], [pi], reps, seed + 2 * offset)
+        var_formula = (pi - 1.0) * rate * (xi * xi + s2) / window - rate * s_eps**2 / window
         mc = variance_gap_mc(
-            [rate], [comp.severity], [pi], window, var_reps, seed + 2 * offset + 1,
-            sigma_eps=None if sigma_eps is None else [sigma_eps[offset]],
+            [rate], [comp.severity], [pi], window, reps, seed + 2 * offset + 1, [s_eps]
         )
-        if sigma_eps is not None:
-            var_formula -= rate * sigma_eps[offset] ** 2 / window
-            var_mc = mc.nospec_variance - mc.noisy_variance
-        else:
-            var_mc = mc.var_gap
+        var_mc = mc.nospec_variance - mc.noisy_variance
         abs_err = abs(var_mc - var_formula)
         scale = abs(var_formula)
         rows.append(

@@ -140,14 +140,14 @@ def _terminal_values(
     return drift * elapsed + diffusion * brownian - _segment_sums(jump_sizes, counts)
 
 
-def derive_seed(root_seed: int, component_id: str, path_index: int) -> int:
-    """Deterministic seed of block ``path_index`` of a component's
+def derive_seed(root_seed: int, component_id: str, block_index: int) -> int:
+    """Deterministic seed of block ``block_index`` of a component's
     :func:`sample_blocks` stream under one experiment root seed."""
-    if root_seed < 0 or path_index < 0:
-        raise DomainError("root_seed and path_index must be nonnegative")
+    if root_seed < 0 or block_index < 0:
+        raise DomainError("root_seed and block_index must be nonnegative")
     digest = hashlib.sha256(component_id.encode("utf-8")).digest()
     tag = int.from_bytes(digest[:8], "little")
-    ss = np.random.SeedSequence([root_seed, tag, path_index])
+    ss = np.random.SeedSequence([root_seed, tag, block_index])
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -20,6 +20,7 @@ from darkspec.process import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LEDGER_V1 = REPO_ROOT / "tests" / "data" / "ledger_v1.jsonl"
 LEDGER_V2 = REPO_ROOT / "tests" / "data" / "ledger_v2.jsonl"
+LEDGER_EXAMPLE = REPO_ROOT / "tests" / "data" / "ledger_example.jsonl"
 
 
 def write_config(path, text):
@@ -430,8 +431,14 @@ class TestRunProcess:
         output = capsys.readouterr().out
         assert "round 1" in output and "round 3" in output
         ledger = read_ledger(out_dir / "ledger.jsonl")
-        assert ledger.pkre_history() == [5.0, 7.0, 9.0]
-        assert [r.red_line for r in ledger.records] == [False, False, True]
+        # one file is one risk: rounds 2 and 3 re-speculate it, replacing
+        # its estimate (0.5 * 10.0, then 1.0 * 2.0, then 0.25 * 8.0)
+        records = ledger.records
+        assert [r.risk_id for r in records] == ["atlanta-rdd"] * 3
+        assert [r.k_imagined for r in records] == [1, 1, 1]
+        assert [r.newly_imagined for r in records] == [True, False, False]
+        assert ledger.pkre_history() == [5.0, 2.0, 2.0]
+        assert [r.red_line for r in records] == [False, False, False]
 
     def test_single_round_summary_matches_script(self, tmp_path, capsys, scenario_paths):
         cfg = write_config(
@@ -545,9 +552,11 @@ class TestRunProcess:
 
 
 class TestReadmeExample:
-    """The README's ``run-process`` example pins the ledger line: the v2
-    fixture is what it writes now, the v1 fixture what it wrote before the
-    feed was carried over; both read as the same ledger."""
+    """The README's ``run-process`` example writes ``ledger_example.jsonl``,
+    where rounds 3 and 4 re-speculate the risks of rounds 1 and 2. The v1
+    and v2 fixtures are the read-compatibility pair: what the example wrote
+    when every round imagined a new risk, before and after the feed was
+    carried over; both read as the same ledger."""
 
     def test_example_writes_the_fixture(self, tmp_path, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
@@ -555,7 +564,7 @@ class TestReadmeExample:
             "run-process", "--config", "scenarios/run.cfg", "--out", str(tmp_path),
             "scenarios/atlanta.licain", "scenarios/bioweapon.licain",
         ]) == 0
-        assert (tmp_path / "ledger.jsonl").read_bytes() == LEDGER_V2.read_bytes()
+        assert (tmp_path / "ledger.jsonl").read_bytes() == LEDGER_EXAMPLE.read_bytes()
 
     def test_example_runs_from_the_scenarios_directory(self, tmp_path, monkeypatch):
         # observed_csv is relative to the config file, not the working directory
@@ -564,18 +573,20 @@ class TestReadmeExample:
             "run-process", "--config", "run.cfg", "--out", str(tmp_path),
             "atlanta.licain", "bioweapon.licain",
         ]) == 0
-        assert (tmp_path / "ledger.jsonl").read_bytes() == LEDGER_V2.read_bytes()
+        assert (tmp_path / "ledger.jsonl").read_bytes() == LEDGER_EXAMPLE.read_bytes()
 
-    def test_fixture_rewrites_to_the_same_bytes(self, tmp_path):
-        write_ledger(read_ledger(LEDGER_V2), tmp_path / "ledger.jsonl")
-        assert (tmp_path / "ledger.jsonl").read_bytes() == LEDGER_V2.read_bytes()
+    @pytest.mark.parametrize("fixture", [LEDGER_V2, LEDGER_EXAMPLE], ids=["v2", "example"])
+    def test_fixture_rewrites_to_the_same_bytes(self, tmp_path, fixture):
+        write_ledger(read_ledger(fixture), tmp_path / "ledger.jsonl")
+        assert (tmp_path / "ledger.jsonl").read_bytes() == fixture.read_bytes()
 
     def test_v1_and_v2_fixtures_hold_the_same_ledger(self):
         assert read_ledger(LEDGER_V1) == read_ledger(LEDGER_V2)
 
-    def test_fixture_replays_bit_for_bit(self, monkeypatch):
+    @pytest.mark.parametrize("fixture", [LEDGER_V1, LEDGER_EXAMPLE], ids=["v1", "example"])
+    def test_fixture_replays_bit_for_bit(self, monkeypatch, fixture):
         monkeypatch.chdir(REPO_ROOT)
-        persisted = read_ledger(LEDGER_V1)
+        persisted = read_ledger(fixture)
         engine = engine_config(load_config_file("scenarios/run.cfg"))
         assert replay_ledger(persisted, engine) == persisted
 
@@ -657,6 +668,16 @@ class TestBadInput:
              "component.a.jump_rate"),
             ("gap-study", GAP_FULL_DETECTION.replace("jump_rate = 2.0", "jump_rate = 1e9"),
              None, "component.a.jump_rate"),
+            ("gap-study", GAP_FULL_DETECTION + "component.a.sigma_eps = 0.5\n"
+             "component.b.jump_rate = 2.0\ncomponent.b.severity = degenerate\n"
+             "component.b.severity_value = 4.0\ncomponent.b.pi = 0.75\n"
+             "component.b.sigma_eps = -1.0\n", None, "component.b.sigma_eps"),
+            ("gap-study", GAP_BAD_PI, None, "component.a.pi"),
+            ("stopping", STOPPING_GEOMETRIC.replace("c_write = 1.0", "c_write = -1.0")
+             .replace("rho = 1.0", "rho = 0.9"), None, "cost.c_write"),
+            ("run-process", RUN_PROCESS.replace("c_write = 1.0", "c_write = -1.0"), "atlanta",
+             "cost.c_write"),
+            ("run-process", RUN_PROCESS + "weights.D1 = -1\n", "atlanta", "weights.D1"),
         ],
         ids=[
             "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
@@ -664,7 +685,9 @@ class TestBadInput:
             "r-max-31", "r-max-million", "r-max-fraction", "utilities-31", "utilities-nan",
             "utilities-inf", "rho-2", "rho-0", "window-0", "delta-overflow",
             "delta-inf", "cost-inf", "estimate-horizon-1e308", "estimate-jump-rate-1e9",
-            "simulate-jump-rate-1e9", "gap-study-jump-rate-1e9",
+            "simulate-jump-rate-1e9", "gap-study-jump-rate-1e9", "sigma-eps-negative",
+            "pi-1.5", "stopping-c-write-negative", "run-process-c-write-negative",
+            "weights-d1-negative",
         ],
     )
     def test_exit_two_with_one_line(
@@ -683,6 +706,14 @@ class TestBadInput:
             path.write_bytes(narrative)
             argv.append(str(path))
         expect_one_error_line(capsys, argv, names)
+
+    def test_stopping_costs_checked_before_any_output(self, tmp_path, capsys):
+        # rho = 1 runs the gate too, but the costs are checked once, up front
+        config = STOPPING_GEOMETRIC.replace("c_write = 1.0", "c_write = -1.0")
+        argv = ["stopping", "--config", write_config(tmp_path / "c.cfg", config),
+                "--out", str(tmp_path / "out")]
+        expect_one_error_line(capsys, argv, "cost.c_write")
+        assert not (tmp_path / "out" / "stopping.csv").exists()
 
     def test_unforeseen_exception_is_one_line_exit_two(self, tmp_path, capsys, monkeypatch):
         import darkspec.cli as cli
