@@ -4,10 +4,11 @@ Two thinning mechanisms, matching what each formula actually describes:
 
 * bias: the analyst either sees an imagined component or misses it wholesale,
   so each replication includes component k's full loss rate with probability
-  pi_k (component-level thinning);
+  pi_k (component-level thinning), drawn as binomially split pattern counts;
 * variance: partial detection of a Poisson stream is classical event-level
   thinning, which leaves a Poisson process at rate pi * lambda, and that is
-  the process whose variance the closed form integrates.
+  the process whose variance the closed form integrates. Fixed blocks of reps
+  each draw a Poisson jump total with uniform owners, merged by (n, mean, M2).
 
 Measurement error adds mean-zero Normal noise to each simulated jump,
 truncated below so sizes stay nonnegative; the induced truncation bias is
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,12 +27,25 @@ from .errors import DomainError
 from .process import LevyComponent
 from .severity import SeverityDistribution
 
+# reps per variance-oracle block: a block's arrays are this long whatever reps is
+ORACLE_BLOCK = 2**14
+
 
 @dataclass(frozen=True)
 class MCEstimate:
     value: float
     se: float
     reps: int
+
+
+def _inclusion_cells(loss_rates, pis, reps: int, rng: np.random.Generator):
+    """Counts and gaps of the nonempty inclusion patterns: Binomial(cell, pi_k) splits."""
+    counts, gaps = np.array([reps], dtype=np.int64), np.zeros(1)
+    for rate, pi in zip(loss_rates, pis):
+        kept = rng.binomial(counts, pi)
+        counts, gaps = np.concatenate([kept, counts - kept]), np.concatenate([gaps, gaps - rate])
+        gaps, counts = gaps[counts > 0], counts[counts > 0]
+    return counts, gaps
 
 
 def bias_thinning_mc(
@@ -45,12 +59,11 @@ def bias_thinning_mc(
         raise DomainError("loss_rates and pis must align")
     if reps < 1:
         raise DomainError("reps must be >= 1")
-    rng = np.random.default_rng(seed)
-    rates = np.asarray(loss_rates, dtype=float)
-    included = rng.uniform(size=(reps, len(rates))) < np.asarray(pis, dtype=float)
-    gaps = (included - 1.0) @ rates
-    value = float(np.mean(gaps))
-    se = float(np.std(gaps, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    if not all(0.0 <= pi <= 1.0 for pi in pis):  # also rejects NaN before any draw
+        raise DomainError(f"every pi must lie in [0, 1], got {list(pis)!r}")
+    counts, gaps = _inclusion_cells(loss_rates, pis, reps, np.random.default_rng(seed))
+    value = float(counts @ gaps) / reps
+    se = math.sqrt(float(counts @ (gaps - value) ** 2) / (reps - 1) / reps) if reps > 1 else 0.0
     return MCEstimate(value=value, se=se, reps=reps)
 
 
@@ -64,6 +77,23 @@ class VarianceGapMC:
     inflation: float          # var(noisy) - var(full)
     truncation_bias: float    # mean(noisy) - mean(full); 0 absent truncation
     reps: int
+
+
+def _gap_blocks(jump_rates, severities, pis, noise, window, reps, seed) -> Iterator[np.ndarray]:
+    """Per-unit full, thinned and noisy loss as one (3, n) array per block of
+    ORACLE_BLOCK reps; component k's block b draws from the seed [seed, k, b]."""
+    for b, first in enumerate(range(0, reps, ORACLE_BLOCK)):
+        n = min(ORACLE_BLOCK, reps - first)
+        sums = np.zeros((3, n))
+        for k, (rate, sev, pi, s_eps) in enumerate(zip(jump_rates, severities, pis, noise)):
+            rng = np.random.default_rng([seed, k, b])
+            owner = rng.integers(0, n, rng.poisson(n * rate * window))  # exact given J
+            sizes = sev.sample(rng, owner.size)
+            keep = rng.uniform(size=owner.size) < pi
+            noisy = np.maximum(sizes + rng.normal(0.0, s_eps, owner.size), 0.0) if s_eps else sizes
+            for row, weights in enumerate((sizes, sizes * keep, noisy)):
+                sums[row] += np.bincount(owner, weights=weights, minlength=n)
+        yield sums / window
 
 
 def variance_gap_mc(
@@ -88,39 +118,28 @@ def variance_gap_mc(
         raise DomainError("jump_rates, severities and pis must align")
     if sigma_eps is not None and len(sigma_eps) != k:
         raise DomainError("sigma_eps must align with jump_rates")
-    if window <= 0.0:
-        raise DomainError("window must be > 0")
     if reps < 2:
         raise DomainError("reps must be >= 2")
     noise = sigma_eps if sigma_eps is not None else [0.0] * k
-    children = np.random.SeedSequence(seed).spawn(k)
-    full = np.zeros(reps)
-    thinned = np.zeros(reps)
-    noisy = np.zeros(reps)
-    for rate, sev, pi, s_eps, child in zip(jump_rates, severities, pis, noise, children):
-        rng = np.random.default_rng(child)
-        counts = rng.poisson(rate * window, reps)
-        total = int(counts.sum())
-        sizes = sev.sample(rng, total)
-        keep = rng.uniform(size=total) < pi
-        eps = rng.normal(0.0, s_eps, total) if s_eps > 0.0 else np.zeros(total)
-        perturbed = np.maximum(sizes + eps, 0.0)
-        owner = np.repeat(np.arange(reps), counts)
-        full += np.bincount(owner, weights=sizes, minlength=reps)
-        thinned += np.bincount(owner, weights=sizes * keep, minlength=reps)
-        noisy += np.bincount(owner, weights=perturbed, minlength=reps)
-    full /= window
-    thinned /= window
-    noisy /= window
-    var_full = float(np.var(full, ddof=1))
-    var_thin = float(np.var(thinned, ddof=1))
-    var_noisy = float(np.var(noisy, ddof=1))
+    if not 0.0 < window < math.inf:
+        raise DomainError(f"window must be finite and > 0, got {window!r}")
+    if not all(0.0 <= pi <= 1.0 for pi in pis):
+        raise DomainError(f"every pi must lie in [0, 1], got {list(pis)!r}")
+    if not all(0.0 <= s < math.inf for s in noise):
+        raise DomainError(f"every sigma_eps must be finite and >= 0, got {list(noise)!r}")
+    count, mean, m2 = 0, np.zeros(3), np.zeros(3)
+    for x in _gap_blocks(jump_rates, severities, pis, noise, window, reps, seed):
+        n, block_mean = x.shape[1], x.mean(axis=1)
+        delta, count = block_mean - mean, count + n  # Chan, Golub & LeVeque's merge
+        mean += delta * (n / count)
+        m2 += ((x - block_mean[:, None]) ** 2).sum(axis=1) + delta**2 * ((count - n) * n / count)
+    var_full, var_thin, var_noisy = (m2 / (count - 1)).tolist()
     return VarianceGapMC(
         var_gap=var_thin - var_full,
         nospec_variance=var_thin,
         noisy_variance=var_noisy,
         inflation=var_noisy - var_full,
-        truncation_bias=float(np.mean(noisy) - np.mean(full)),
+        truncation_bias=float(mean[2] - mean[0]),
         reps=reps,
     )
 

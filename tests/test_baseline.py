@@ -1,13 +1,17 @@
 """Non-speculative gap formulas against their Monte Carlo oracles."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from darkspec import (
     ConstantDetection,
+    Degenerate,
     DomainError,
     EstimateSource,
     Exponential,
@@ -24,7 +28,14 @@ from darkspec import (
     variance_gap,
     variance_gap_with_error,
 )
-from darkspec.oracles import bias_thinning_mc, staggered_frequency_mc, variance_gap_mc
+from darkspec.oracles import (
+    ORACLE_BLOCK,
+    _gap_blocks,
+    _inclusion_cells,
+    bias_thinning_mc,
+    staggered_frequency_mc,
+    variance_gap_mc,
+)
 
 
 def imagined(cid, lam, xi, s2=0.0):
@@ -166,6 +177,122 @@ class TestVarianceGapWithError:
         )
         assert mc.inflation == pytest.approx(lam * sigma**2, rel=0.05)
         assert abs(mc.truncation_bias) < 0.01
+
+
+def _variance_args(**overrides):
+    """A valid variance_gap_mc call: one noisy exponential component."""
+    args = dict(
+        jump_rates=[2.0], severities=[Exponential.from_mean(3.0)], pis=[0.5],
+        window=1.0, reps=1_000, seed=4, sigma_eps=[0.5],
+    )
+    args.update(overrides)
+    return args
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _chi_square_pvalue(observed, probabilities) -> float:
+    """Pearson chi-square p-value, the upper tail merged until every expected
+    cell holds at least 5."""
+    observed = np.asarray(observed, dtype=float)
+    expected = np.asarray(probabilities, dtype=float) * observed.sum()
+    while len(expected) > 2 and expected[-1] < 5.0:
+        expected[-2] += expected[-1]
+        observed[-2] += observed[-1]
+        expected, observed = expected[:-1], observed[:-1]
+    return stats.chisquare(observed, expected).pvalue
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail any generator an oracle builds before it has checked its inputs."""
+    def refuse(*_args):
+        raise AssertionError("drew before checking its inputs")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+
+class TestOracleDraws:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"window": 0.0}, {"window": -1.0}, {"window": math.nan}, {"window": math.inf},
+            {"pis": [-0.1]}, {"pis": [1.5]}, {"pis": [math.nan]},
+            {"sigma_eps": [-0.5]}, {"sigma_eps": [math.nan]}, {"sigma_eps": [math.inf]},
+        ],
+    )
+    def test_variance_oracle_rejects_bad_inputs_before_any_draw(self, overrides, no_draws):
+        with pytest.raises(DomainError):
+            variance_gap_mc(**_variance_args(**overrides))
+
+    @pytest.mark.parametrize("pi", [-0.1, 1.5, math.nan])
+    def test_bias_oracle_rejects_bad_pi_before_any_draw(self, pi, no_draws):
+        with pytest.raises(DomainError):
+            bias_thinning_mc([1.0, 2.0], [0.5, pi], 1_000, 4)
+
+    def test_block_jump_counts_are_poisson(self):
+        # unit sizes, full detection, no noise: a block's full sums are its
+        # per-rep counts of the uniform owners; chi-square against
+        # Poisson(lambda * w) at alpha = 0.01
+        rate = 2.0
+        per_rep = next(_gap_blocks([rate], [Degenerate(1.0)], [1.0], [0.0], 1.0, ORACLE_BLOCK, 21))
+        counts = per_rep[0].astype(np.int64)
+        assert np.array_equal(counts, per_rep[0])
+        top = int(counts.max()) + 1
+        pmf = [stats.poisson.pmf(k, rate) for k in range(top)] + [stats.poisson.sf(top - 1, rate)]
+        assert _chi_square_pvalue(np.bincount(counts, minlength=top + 1), pmf) >= 0.01
+
+    def test_binomial_split_gives_product_pattern_probabilities(self):
+        # rates 1 and 2 make each pattern's gap distinct: 0 both in, -1 the
+        # first out, -2 the second out, -3 both out; chi-square at alpha = 0.01
+        pi_1, pi_2 = 0.3, 0.6
+        counts, gaps = _inclusion_cells([1.0, 2.0], [pi_1, pi_2], 100_000,
+                                        np.random.default_rng(31))
+        assert counts.sum() == 100_000
+        by_pattern = [int(counts[gaps == -g].sum()) for g in (0.0, 1.0, 2.0, 3.0)]
+        probabilities = [pi_1 * pi_2, (1 - pi_1) * pi_2, pi_1 * (1 - pi_2),
+                         (1 - pi_1) * (1 - pi_2)]
+        assert _chi_square_pvalue(by_pattern, probabilities) >= 0.01
+
+    @pytest.mark.parametrize("reps", [ORACLE_BLOCK + 1, 3 * ORACLE_BLOCK - 7])
+    def test_block_merge_equals_variance_of_all_reps(self, reps):
+        rates, severities = [3.0, 0.5], [Exponential.from_mean(2.0), Degenerate(4.0)]
+        pis, noise, window, seed = [0.25, 0.75], [0.5, 0.0], 1.5, 7
+        mc = variance_gap_mc(rates, severities, pis, window, reps, seed, noise)
+        per_rep = np.concatenate(
+            list(_gap_blocks(rates, severities, pis, noise, window, reps, seed)), axis=1
+        )
+        assert per_rep.shape == (3, reps)
+        full, thinned, noisy = np.var(per_rep, axis=1, ddof=1)
+        assert mc.nospec_variance == pytest.approx(thinned, rel=1e-12)
+        assert mc.noisy_variance == pytest.approx(noisy, rel=1e-12)
+        assert mc.var_gap == pytest.approx(thinned - full, rel=1e-12)
+        assert mc.truncation_bias == pytest.approx(
+            per_rep[2].mean() - per_rep[0].mean(), rel=1e-12, abs=1e-12
+        )
+
+    def test_variance_oracle_memory_flat_in_reps(self):
+        def run(blocks):
+            return lambda: variance_gap_mc(**_variance_args(reps=blocks * ORACLE_BLOCK))
+
+        run(1)()  # first-call allocations out of the way
+        one, eight = _peak_bytes(run(1)), _peak_bytes(run(8))
+        assert eight <= 1.5 * one, f"peak {eight} B at 8 blocks vs {one} B at 1"
+
+    def test_bias_oracle_memory_independent_of_reps(self):
+        def run(reps):
+            return lambda: bias_thinning_mc([1.0, 2.0, 3.0], [0.2, 0.5, 0.9], reps, 8)
+
+        run(10_000)()
+        small, large = _peak_bytes(run(10_000)), _peak_bytes(run(10_000_000))
+        assert large <= 1.5 * small, f"peak {large} B at 1e7 reps vs {small} B at 1e4"
 
 
 class TestImprovementCurve:
