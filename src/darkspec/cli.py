@@ -123,7 +123,8 @@ def _write_report(report: Report, cfg: ExperimentConfig, filename: str, title: s
 
 
 # the most jumps one component's draws may be expected to hold at once: about
-# 240 MB at the 24 bytes a jump costs `estimate` (times, sizes, pooled sizes)
+# 240 MB at the 24 bytes a jump costs `estimate` (times, sizes, pooled sizes).
+# simulate and estimate hold every rep's jumps, gap-study one oracle block's
 MAX_EXPECTED_JUMPS = 10**7
 
 
@@ -140,20 +141,25 @@ def _check_expected_jumps(component, elapsed: float, reps: int, window_key: str)
         )
 
 
-def _paths_inputs(cfg: ExperimentConfig):
+def _paths_inputs(cfg: ExperimentConfig, need_variance: bool):
     """The components and horizon that simulate and estimate draw paths for,
     each component's expected jump count checked before any draw."""
-    specs = parse_components(cfg.values)
+    specs = parse_components(cfg.values, need_variance)
     horizon = _as_float(cfg.values, "horizon")
     for spec in specs:
         component = spec.component
+        if horizon < component.commencement:
+            raise ConfigError(
+                f"keys 'horizon' and 'component.{component.component_id}.commencement': "
+                f"horizon {horizon} precedes commencement {component.commencement}"
+            )
         _check_expected_jumps(component, horizon - component.commencement, cfg.reps, "horizon")
     return specs, horizon
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    specs, horizon = _paths_inputs(cfg)
+    specs, horizon = _paths_inputs(cfg, need_variance=True)  # the terminal-value variance
     rows = []
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "paths.csv", "w", encoding="utf-8") as out:
@@ -202,7 +208,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def cmd_estimate(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    specs, horizon = _paths_inputs(cfg)
+    specs, horizon = _paths_inputs(cfg, need_variance=False)
     rows = []
     estimates = []
     for spec in specs:
@@ -245,13 +251,14 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
 
 def cmd_gap_study(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    specs = parse_components(cfg.values)
+    specs = parse_components(cfg.values, need_variance=True)  # the variance-gap formula
     profile = detection_profile(specs)  # validates pi before any simulation
     window = _as_float(cfg.values, "window", 1.0)
     if not window > 0.0:
         raise ConfigError(f"key 'window' must be > 0, got {cfg.values['window']!r}")
+    block = min(cfg.reps, oracles.ORACLE_BLOCK)  # the reps the oracles hold at once
     for spec in specs:
-        _check_expected_jumps(spec.component, window, cfg.reps, "window")
+        _check_expected_jumps(spec.component, window, block, "window")
     study = oracles.gap_study_rows(
         components=[spec.component for spec in specs],
         pis=profile.pis,

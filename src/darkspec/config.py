@@ -127,31 +127,43 @@ class ComponentSpec:
     sigma_eps: float = 0.0
 
 
-def _severity_from(values: Mapping[str, str], prefix: str) -> SeverityDistribution:
+# severity family -> its constructor and the config fields of its arguments,
+# each read from key <prefix>.severity_<field>
+_SEVERITIES = {
+    "exponential": (Exponential, ("rate",)),
+    "lognormal": (LogNormal, ("mu", "sigma")),
+    "pareto": (Pareto, ("scale", "shape")),
+    "degenerate": (Degenerate, ("value",)),
+}
+
+
+def _severity_from(
+    values: Mapping[str, str], prefix: str, need_variance: bool
+) -> SeverityDistribution:
     family = values.get(f"{prefix}.severity")
     if family is None:
         raise ConfigError(f"missing required key '{prefix}.severity'")
     family = family.lower()
-    if family == "exponential":
-        if f"{prefix}.severity_mean" in values:
-            return Exponential.from_mean(_as_float(values, f"{prefix}.severity_mean"))
-        return Exponential(rate=_as_float(values, f"{prefix}.severity_rate"))
-    if family == "lognormal":
-        return LogNormal(
-            mu=_as_float(values, f"{prefix}.severity_mu"),
-            sigma=_as_float(values, f"{prefix}.severity_sigma"),
-        )
-    if family == "pareto":
-        return Pareto(
-            scale=_as_float(values, f"{prefix}.severity_scale"),
-            shape=_as_float(values, f"{prefix}.severity_shape"),
-        )
-    if family == "degenerate":
-        return Degenerate(value=_as_float(values, f"{prefix}.severity_value"))
-    raise ConfigError(f"unknown severity family {family!r} for {prefix}")
+    if family not in _SEVERITIES:
+        raise ConfigError(f"unknown severity family {family!r} for {prefix}")
+    build, fields = _SEVERITIES[family]
+    if family == "exponential" and f"{prefix}.severity_mean" in values:
+        build, fields = Exponential.from_mean, ("mean",)
+    keys = [f"{prefix}.severity_{name}" for name in fields]
+    arguments = [_as_float(values, key) for key in keys]
+    with naming_keys(*keys):
+        severity = build(*arguments)
+        if need_variance:
+            severity.variance()  # raises where the second moment diverges
+    return severity
 
 
-def parse_components(values: Mapping[str, str]) -> list[ComponentSpec]:
+def parse_components(
+    values: Mapping[str, str], need_variance: bool = False
+) -> list[ComponentSpec]:
+    """Every declared component, each checked as its keys are read. With
+    ``need_variance``, a severity whose variance diverges is rejected too, for
+    the commands whose formulas use it."""
     ids = sorted(
         {
             key.split(".", 2)[1]
@@ -169,15 +181,20 @@ def parse_components(values: Mapping[str, str]) -> list[ComponentSpec]:
             category = RiskCategory(category_text)
         except ValueError:
             raise ConfigError(f"unknown category {category_text!r} for component {cid}")
-        component = LevyComponent(
-            component_id=cid,
-            drift=_as_float(values, f"{prefix}.drift", 0.0),
-            diffusion=_as_float(values, f"{prefix}.diffusion", 0.0),
-            jump_rate=_as_float(values, f"{prefix}.jump_rate"),
-            severity=_severity_from(values, prefix),
-            category=category,
-            commencement=_as_float(values, f"{prefix}.commencement", 0.0),
-        )
+        drift = _as_float(values, f"{prefix}.drift", 0.0)
+        diffusion = _as_float(values, f"{prefix}.diffusion", 0.0)
+        jump_rate = _as_float(values, f"{prefix}.jump_rate")
+        severity = _severity_from(values, prefix, need_variance)
+        commencement = _as_float(values, f"{prefix}.commencement", 0.0)
+        given = [
+            f"{prefix}.{name}"
+            for name in ("drift", "diffusion", "jump_rate", "commencement")
+            if f"{prefix}.{name}" in values
+        ]
+        with naming_keys(*given):
+            component = LevyComponent(
+                cid, drift, diffusion, jump_rate, severity, category, commencement
+            )
         pi = None
         if f"{prefix}.pi" in values:
             pi = _as_float(values, f"{prefix}.pi")
@@ -255,6 +272,28 @@ def _round_index(key: str) -> int:
         raise ConfigError(f"key {key!r}: round index must be an integer, got {text!r}")
 
 
+def _underwriting(values: Mapping[str, str], prefix: str) -> UnderwritingResult:
+    """One round's underwriting values, checked against the bounds its risk
+    estimate enforces, so that a bad round stops the run before round 1 and
+    the message names its key."""
+    underwriting = UnderwritingResult(
+        lambda_hat=_as_float(values, f"{prefix}.lambda_hat"),
+        xi_hat=_as_float(values, f"{prefix}.xi_hat"),
+        severity_variance=_as_float(values, f"{prefix}.severity_var", 0.0),
+        window=_as_float(values, f"{prefix}.window", 1.0),
+    )
+    for key, value in (
+        ("lambda_hat", underwriting.lambda_hat),
+        ("xi_hat", underwriting.xi_hat),
+        ("severity_var", underwriting.severity_variance),
+    ):
+        if value < 0.0:
+            raise ConfigError(f"key '{prefix}.{key}' must be >= 0, got {value}")
+    if not underwriting.window > 0.0:
+        raise ConfigError(f"key '{prefix}.window' must be > 0, got {underwriting.window}")
+    return underwriting
+
+
 def scripted_rounds(values: Mapping[str, str]) -> list[ScriptedRound]:
     indices = sorted(
         {
@@ -272,12 +311,7 @@ def scripted_rounds(values: Mapping[str, str]) -> list[ScriptedRound]:
         prefix = f"round.{n}"
         rounds.append(
             ScriptedRound(
-                underwriting=UnderwritingResult(
-                    lambda_hat=_as_float(values, f"{prefix}.lambda_hat"),
-                    xi_hat=_as_float(values, f"{prefix}.xi_hat"),
-                    severity_variance=_as_float(values, f"{prefix}.severity_var", 0.0),
-                    window=_as_float(values, f"{prefix}.window", 1.0),
-                ),
+                underwriting=_underwriting(values, prefix),
                 benefits=RoundBenefits(
                     mitigation=_as_float(values, f"{prefix}.mitigation", 0.0),
                     option=_as_float(values, f"{prefix}.option", 0.0),

@@ -26,6 +26,7 @@ run across narratives in parallel.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -204,144 +205,141 @@ def _parse_int(text: str, what: str, line_no: int, col: int) -> int:
         raise NarrativeSyntaxError(f"{what} must be an integer, got {text!r}", line_no, col)
 
 
+# each record's operands, as its "<KEYWORD> takes <usage>" error prints them:
+# <...> is a bare word, "<...>" a quoted string, key=<...> a key=value pair,
+# [...] an optional word and anything else a literal
+_USAGE = {
+    "NARRATIVE": "round=<int> risk=<id>",
+    "ACTOR": "<id> kind=<kind>",
+    "ACTION": "<id> kind=<kind>",
+    "HAPPENING": '<id> stage=<int> [actualized] "<description>"',
+    "CONTEXT": '<happening-id> "<detail>"',
+    "ACTOR-AT": "<actor-id> <happening-id>",
+    "EDGE": "<from-id> -> <to-id> actor=<id> action=<id>",
+    "PIVOT": "<happening-id> enables=<action-id> defeat=<action-id>",
+}
+
+# the operands that must name an earlier record, by the kind of record they name
+_REFERENCES = {
+    "happening": ("<happening-id>", "<from-id>", "<to-id>"),
+    "actor": ("<actor-id>", "actor=<id>"),
+    "action": ("action=<id>", "enables=<action-id>", "defeat=<action-id>"),
+}
+
+
+def _shape(usage: str) -> tuple:
+    """The checks a usage asks for: (least, most operand count; the (position,
+    field) of each token part the arity check reads, a token being (text,
+    column, quoted), and the value it wants there: False for <...>, True for
+    "<...>", the text of a literal; (position, key) pairs; (position, kind)
+    references). Words after an optional one are the keyword's own to check."""
+    words = list(enumerate(usage.partition(" [")[0].split()))
+    plain = [(i, w) for i, w in words if "=" not in w]
+    least = len(usage.split()) - ("[" in usage)
+    return (
+        least,
+        math.inf if "[" in usage else least,
+        [(i, 2 if w[0] in '<"' else 0) for i, w in plain],
+        [w[0] == '"' if w[0] in '<"' else w for i, w in plain],
+        tuple((i, w.partition("=")[0]) for i, w in words if "=" in w),
+        tuple((i, kind) for i, w in words for kind, named in _REFERENCES.items() if w in named),
+    )
+
+
+_SHAPES = {keyword: _shape(usage) for keyword, usage in _USAGE.items()}
+
+
 def parse_narrative(text: str) -> Narrative:
     """Parse a narrative document; errors carry line, column, and a code."""
     header: tuple[int, str] | None = None
-    happenings: dict[str, Happening] = {}
+    happenings: dict[str, tuple[int, str, bool]] = {}  # id -> (stage, description, actualized)
     actors: dict[str, Actor] = {}
     actions: dict[str, Action] = {}
     edges: list[NarrativeEdge] = []
     pivots: list[PivotAnnotation] = []
     actor_at: list[tuple[str, str]] = []
     contexts: dict[str, list[str]] = {}
-    saw_record = False
-
-    def _resolve(table: dict, key: str, what: str, line_no: int, col: int) -> None:
-        if key not in table:
-            raise NarrativeSyntaxError(
-                f"unknown {what} {key!r}", line_no, col, code="dangling-reference"
-            )
+    tables = {"happening": happenings, "actor": actors, "action": actions}
 
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(line, line_no)
         if not tokens:
             continue
-        saw_record = True
         keyword, kw_col, quoted = tokens[0]
         if quoted:
             raise NarrativeSyntaxError("record must start with a keyword", line_no, kw_col)
+        shape = _SHAPES.get(keyword)
+        if shape is None:
+            raise NarrativeSyntaxError(f"unknown keyword {keyword!r}", line_no, kw_col)
+        if keyword == "NARRATIVE" and header is not None:
+            raise NarrativeSyntaxError("duplicate NARRATIVE header", line_no, kw_col,
+                                       code="duplicate-id")
+
+        # the operand check: arity and quoting, then each key=value, then each
+        # reference, all in operand order
+        least, most, fields, wants, keys, references = shape
         rest = tokens[1:]
+        if not least <= len(rest) <= most or [rest[i][f] for i, f in fields] != wants:
+            raise NarrativeSyntaxError(f"{keyword} takes {_USAGE[keyword]}", line_no, kw_col)
+        values = [token[0] for token in rest]
+        for i, key in keys:
+            values[i] = _expect_kv(rest[i], key, line_no)
+        for i, kind in references:
+            if values[i] not in tables[kind]:
+                raise NarrativeSyntaxError(f"unknown {kind} {values[i]!r}", line_no,
+                                           rest[i][1], code="dangling-reference")
 
         if keyword == "NARRATIVE":
-            if header is not None:
-                raise NarrativeSyntaxError("duplicate NARRATIVE header", line_no, kw_col,
-                                           code="duplicate-id")
-            if len(rest) != 2:
-                raise NarrativeSyntaxError("NARRATIVE takes round=<int> risk=<id>",
-                                           line_no, kw_col)
-            round_text = _expect_kv(rest[0], "round", line_no)
-            risk = _expect_kv(rest[1], "risk", line_no)
-            header = (_parse_int(round_text, "round", line_no, rest[0][1]), risk)
+            header = (_parse_int(values[0], "round", line_no, rest[0][1]), values[1])
         elif keyword in ("ACTOR", "ACTION"):
-            if keyword == "ACTOR":
-                table, kinds, cls = actors, ActorKind, Actor
-            else:
-                table, kinds, cls = actions, ActionKind, Action
             noun = keyword.lower()
-            if len(rest) != 2 or rest[0][2]:
-                raise NarrativeSyntaxError(f"{keyword} takes <id> kind=<kind>",
-                                           line_no, kw_col)
-            record_id = rest[0][0]
-            kind_text = _expect_kv(rest[1], "kind", line_no)
+            kinds, cls = (ActorKind, Actor) if noun == "actor" else (ActionKind, Action)
+            record_id, kind_text = values
             try:
                 kind = kinds(kind_text)
             except ValueError:
                 raise NarrativeSyntaxError(f"unknown {noun} kind {kind_text!r}",
                                            line_no, rest[1][1])
-            if record_id in table:
+            if record_id in tables[noun]:
                 raise NarrativeSyntaxError(f"duplicate {noun} id {record_id!r}",
                                            line_no, rest[0][1], code="duplicate-id")
-            table[record_id] = cls(record_id, kind)
+            tables[noun][record_id] = cls(record_id, kind)
         elif keyword == "HAPPENING":
-            if len(rest) < 3 or rest[0][2]:
-                raise NarrativeSyntaxError(
-                    'HAPPENING takes <id> stage=<int> [actualized] "<description>"',
-                    line_no, kw_col)
-            happening_id = rest[0][0]
-            stage_text = _expect_kv(rest[1], "stage", line_no)
-            stage = _parse_int(stage_text, "stage", line_no, rest[1][1])
-            actualized = False
-            desc_index = 2
-            if not rest[2][2] and rest[2][0] == "actualized":
-                actualized = True
-                desc_index = 3
-            if len(rest) != desc_index + 1 or not rest[desc_index][2]:
+            stage = _parse_int(values[1], "stage", line_no, rest[1][1])
+            actualized = not rest[2][2] and rest[2][0] == "actualized"
+            if len(rest) != 3 + actualized or not rest[-1][2]:
                 raise NarrativeSyntaxError("HAPPENING needs a quoted description",
                                            line_no, kw_col)
-            if happening_id in happenings:
-                raise NarrativeSyntaxError(f"duplicate happening id {happening_id!r}",
+            if values[0] in happenings:
+                raise NarrativeSyntaxError(f"duplicate happening id {values[0]!r}",
                                            line_no, rest[0][1], code="duplicate-id")
             if stage < 1:
                 raise NarrativeSyntaxError(f"stage must be >= 1, got {stage}",
                                            line_no, rest[1][1])
-            happenings[happening_id] = Happening(
-                happening_id, stage, rest[desc_index][0], (), actualized
-            )
+            happenings[values[0]] = (stage, values[-1], actualized)
         elif keyword == "CONTEXT":
-            if len(rest) != 2 or rest[0][2] or not rest[1][2]:
-                raise NarrativeSyntaxError('CONTEXT takes <happening-id> "<detail>"',
-                                           line_no, kw_col)
-            _resolve(happenings, rest[0][0], "happening", line_no, rest[0][1])
-            contexts.setdefault(rest[0][0], []).append(rest[1][0])
+            contexts.setdefault(values[0], []).append(values[1])
         elif keyword == "ACTOR-AT":
-            if len(rest) != 2 or rest[0][2] or rest[1][2]:
-                raise NarrativeSyntaxError("ACTOR-AT takes <actor-id> <happening-id>",
-                                           line_no, kw_col)
-            _resolve(actors, rest[0][0], "actor", line_no, rest[0][1])
-            _resolve(happenings, rest[1][0], "happening", line_no, rest[1][1])
-            actor_at.append((rest[0][0], rest[1][0]))
+            actor_at.append((values[0], values[1]))
         elif keyword == "EDGE":
-            if (len(rest) != 5 or rest[1][0] != "->" or rest[0][2] or rest[2][2]):
-                raise NarrativeSyntaxError(
-                    "EDGE takes <from-id> -> <to-id> actor=<id> action=<id>",
-                    line_no, kw_col)
-            source, target = rest[0][0], rest[2][0]
-            actor_id = _expect_kv(rest[3], "actor", line_no)
-            action_id = _expect_kv(rest[4], "action", line_no)
-            _resolve(happenings, source, "happening", line_no, rest[0][1])
-            _resolve(happenings, target, "happening", line_no, rest[2][1])
-            _resolve(actors, actor_id, "actor", line_no, rest[3][1])
-            _resolve(actions, action_id, "action", line_no, rest[4][1])
-            edges.append(NarrativeEdge(source, target, actor_id, action_id))
-        elif keyword == "PIVOT":
-            if len(rest) != 3 or rest[0][2]:
-                raise NarrativeSyntaxError(
-                    "PIVOT takes <happening-id> enables=<action-id> defeat=<action-id>",
-                    line_no, kw_col)
-            happening_id = rest[0][0]
-            enables = _expect_kv(rest[1], "enables", line_no)
-            defeat = _expect_kv(rest[2], "defeat", line_no)
-            _resolve(happenings, happening_id, "happening", line_no, rest[0][1])
-            _resolve(actions, enables, "action", line_no, rest[1][1])
-            _resolve(actions, defeat, "action", line_no, rest[2][1])
-            pivots.append(PivotAnnotation(happening_id, enables, defeat))
+            edges.append(NarrativeEdge(values[0], values[2], values[3], values[4]))
         else:
-            raise NarrativeSyntaxError(f"unknown keyword {keyword!r}", line_no, kw_col)
+            pivots.append(PivotAnnotation(*values))
 
-    if not saw_record:
+    # every record but the header adds a happening, an actor or an action, or names one
+    if header is None and not (happenings or actors or actions):
         raise NarrativeSyntaxError("document contains no records", 1, 1,
                                    code="empty-document")
     if header is None:
         raise NarrativeSyntaxError("missing NARRATIVE header", 1, 1)
 
-    enriched = [
-        replace(h, context=tuple(contexts.get(h.happening_id, ())))
-        for h in happenings.values()
-    ]
     return build_narrative(
         round_index=header[0],
         risk_id=header[1],
-        happenings=enriched,
+        happenings=[
+            Happening(hid, stage, description, tuple(contexts.get(hid, ())), actualized)
+            for hid, (stage, description, actualized) in happenings.items()
+        ],
         actors=list(actors.values()),
         actions=list(actions.values()),
         edges=edges,

@@ -11,8 +11,10 @@ Two thinning mechanisms, matching what each formula actually describes:
   each draw a Poisson jump total with uniform owners, merged by (n, mean, M2).
 
 Measurement error adds mean-zero Normal noise to each simulated jump,
-truncated below so sizes stay nonnegative; the induced truncation bias is
-reported, never hidden.
+truncated below so sizes stay nonnegative. The induced truncation bias is
+returned as ``VarianceGapMC.truncation_bias``, but ``gap_study_rows`` drops
+it and the variance-gap formula's noise term ignores the truncation, so no
+report shows it yet.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from darkspec.cli import Report, ReportRow, main
 from darkspec.config import engine_config, load_config_file, parse_components
 from darkspec.engine import read_ledger, replay_ledger, write_ledger
 from darkspec.estimation import estimate_from_observation, write_estimates_csv
+from darkspec.oracles import ORACLE_BLOCK
 from darkspec.process import (
     PATH_BLOCK, derive_seed, sample_paths, simulate_block, write_paths_csv,
 )
@@ -61,6 +62,14 @@ component.a.severity = exponential
 component.a.severity_mean = 3.0
 component.a.pi = 1.5
 """
+
+EXPONENTIAL_A = "component.a.severity = exponential\ncomponent.a.severity_mean = 3.0"
+
+
+def pareto_a(shape: float) -> str:
+    return (f"component.a.severity = pareto\ncomponent.a.severity_scale = 1.0\n"
+            f"component.a.severity_shape = {shape}")
+
 
 RUN_PROCESS = """
 cost.c_write = 1.0
@@ -678,6 +687,10 @@ class TestBadInput:
             ("run-process", RUN_PROCESS.replace("c_write = 1.0", "c_write = -1.0"), "atlanta",
              "cost.c_write"),
             ("run-process", RUN_PROCESS + "weights.D1 = -1\n", "atlanta", "weights.D1"),
+            ("simulate", SIMULATE_MC.replace("diffusion = 0.5", "diffusion = -1"), None,
+             "component.a.diffusion"),
+            ("simulate", SIMULATE_MC.replace(EXPONENTIAL_A, pareto_a(0.5)), None,
+             "component.a.severity_shape"),
         ],
         ids=[
             "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
@@ -687,7 +700,7 @@ class TestBadInput:
             "delta-inf", "cost-inf", "estimate-horizon-1e308", "estimate-jump-rate-1e9",
             "simulate-jump-rate-1e9", "gap-study-jump-rate-1e9", "sigma-eps-negative",
             "pi-1.5", "stopping-c-write-negative", "run-process-c-write-negative",
-            "weights-d1-negative",
+            "weights-d1-negative", "diffusion-negative", "pareto-shape-0.5",
         ],
     )
     def test_exit_two_with_one_line(
@@ -706,6 +719,44 @@ class TestBadInput:
             path.write_bytes(narrative)
             argv.append(str(path))
         expect_one_error_line(capsys, argv, names)
+
+    @pytest.mark.parametrize("command, config, key", [
+        # a finite mean but no variance: simulate's and gap-study's formulas need one
+        ("simulate", SIMULATE_MC.replace(EXPONENTIAL_A, pareto_a(1.5)),
+         "component.a.severity_shape"),
+        ("gap-study", GAP_FULL_DETECTION.replace(EXPONENTIAL_A, pareto_a(1.5)),
+         "component.a.severity_shape"),
+        ("run-process", RUN_PROCESS.replace("lambda_hat = 1.0", "lambda_hat = -1"),
+         "round.2.lambda_hat"),
+        ("run-process", RUN_PROCESS + "round.2.window = 0\n", "round.2.window"),
+        ("simulate", SIMULATE_MC + "component.a.commencement = 60.0\n",
+         "component.a.commencement"),
+    ], ids=["simulate-variance", "gap-study-variance", "round-lambda-hat", "round-window",
+            "simulate-commencement"])
+    def test_rejected_before_any_draw_or_round(self, tmp_path, capsys, monkeypatch,
+                                               scenario_paths, command, config, key):
+        import darkspec.cli as cli
+
+        def reached(*args, **kwargs):
+            raise AssertionError("drew or ran a round before the check")
+
+        monkeypatch.setattr(cli, "sample_blocks", reached)
+        monkeypatch.setattr(cli.oracles, "gap_study_rows", reached)
+        monkeypatch.setattr(cli, "run_round", reached)
+        argv = [command, "--config", write_config(tmp_path / "c.cfg", config),
+                "--out", str(tmp_path / "out")]
+        if command == "run-process":
+            argv.append(str(scenario_paths["atlanta"]))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no round line, no report
+        assert key in captured.err and len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_estimate_needs_no_severity_variance(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", SIMULATE_MC.replace(EXPONENTIAL_A, pareto_a(1.5)))
+        assert main(["estimate", "--config", cfg, "--reps", "20",
+                     "--out", str(tmp_path / "out")]) in (0, 1)
 
     def test_stopping_costs_checked_before_any_output(self, tmp_path, capsys):
         # rho = 1 runs the gate too, but the costs are checked once, up front
@@ -726,17 +777,23 @@ class TestBadInput:
         argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
         expect_one_error_line(capsys, argv, "error: RuntimeError: kernel fault")
 
-    @pytest.mark.parametrize("command", ["simulate", "estimate"])
-    def test_expected_jump_limit_is_inclusive(self, tmp_path, capsys, monkeypatch, command):
+    @pytest.mark.parametrize("command, config, reps, expected, window_key", [
+        # component a expects 2.0 * 50.0 * 3 = 300 jumps
+        ("simulate", SIMULATE_MC, 3, 300, "'horizon'"),
+        ("estimate", SIMULATE_MC, 3, 300, "'horizon'"),
+        # the gap oracles hold one block of reps at a time: 2.0 * 1.0 * ORACLE_BLOCK
+        ("gap-study", GAP_FULL_DETECTION, ORACLE_BLOCK + 1, 2 * ORACLE_BLOCK, "'window'"),
+    ], ids=["simulate", "estimate", "gap-study"])
+    def test_expected_jump_limit_is_inclusive(self, tmp_path, capsys, monkeypatch, command,
+                                              config, reps, expected, window_key):
         import darkspec.cli as cli
 
-        # component a expects 2.0 * 50.0 * 3 = 300 jumps
-        monkeypatch.setattr(cli, "MAX_EXPECTED_JUMPS", 300)
-        cfg = write_config(tmp_path / "c.cfg", SIMULATE_MC)
-        argv = [command, "--config", cfg, "--reps", "3", "--out", str(tmp_path / "out")]
+        monkeypatch.setattr(cli, "MAX_EXPECTED_JUMPS", expected)
+        cfg = write_config(tmp_path / "c.cfg", config)
+        argv = [command, "--config", cfg, "--reps", str(reps), "--out", str(tmp_path / "out")]
         assert main(argv) in (0, 1)
-        monkeypatch.setattr(cli, "MAX_EXPECTED_JUMPS", 299)
-        expect_one_error_line(capsys, argv, "component.a.jump_rate", "'horizon'")
+        monkeypatch.setattr(cli, "MAX_EXPECTED_JUMPS", expected - 1)
+        expect_one_error_line(capsys, argv, "component.a.jump_rate", window_key)
 
     def test_expected_jumps_checked_once_per_component(self, tmp_path, monkeypatch):
         import darkspec.cli as cli

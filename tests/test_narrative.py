@@ -33,6 +33,14 @@ from darkspec.narrative import _tokenize
 
 AGENTIVE = {ActionKind.HUMAN, ActionKind.MACHINE, ActionKind.JOINT}
 
+# a header, one actor, one action and one happening: records after it may refer to a, go, h1
+PREAMBLE = (
+    "NARRATIVE round=1 risk=r\n"
+    "ACTOR a kind=human\n"
+    "ACTION go kind=human\n"
+    'HAPPENING h1 stage=1 actualized "x"\n'
+)
+
 
 def rebuild(narrative: Narrative, **overrides) -> Narrative:
     """Reassemble a narrative with mutations, rederiving participant sets."""
@@ -161,6 +169,172 @@ class TestParsing:
     def test_actor_and_action_errors(self, body, message, code, line, column):
         with pytest.raises(NarrativeSyntaxError) as exc:
             parse_narrative("NARRATIVE round=1 risk=r\n" + body)
+        assert str(exc.value) == f"line {line}, column {column}: {message}"
+        assert (exc.value.code, exc.value.line, exc.value.column) == (code, line, column)
+
+    @pytest.mark.parametrize("document, message, code, line, column", [
+        # NARRATIVE: arity, quoting, key=, an int, and a duplicate header before arity
+        pytest.param('NARRATIVE round=1\n',
+                     'NARRATIVE takes round=<int> risk=<id>', 'syntax', 1, 1,
+                     id='narrative-short'),
+        pytest.param('NARRATIVE round=1 risk=r extra\n',
+                     'NARRATIVE takes round=<int> risk=<id>', 'syntax', 1, 1,
+                     id='narrative-long'),
+        pytest.param('NARRATIVE "round=1" risk=r\n',
+                     'expected round=<value>', 'syntax', 1, 11,
+                     id='narrative-quoted-round'),
+        pytest.param('NARRATIVE risk=r round=1\n',
+                     'expected round=<value>', 'syntax', 1, 11,
+                     id='narrative-missing-round'),
+        pytest.param('NARRATIVE round= risk=r\n',
+                     'empty value for round=', 'syntax', 1, 11,
+                     id='narrative-empty-round'),
+        pytest.param('NARRATIVE round=1 risk=\n',
+                     'empty value for risk=', 'syntax', 1, 19,
+                     id='narrative-empty-risk'),
+        pytest.param('NARRATIVE round=x risk=r\n',
+                     "round must be an integer, got 'x'", 'syntax', 1, 11,
+                     id='narrative-bad-round'),
+        pytest.param('NARRATIVE round=x risk=\n',
+                     'empty value for risk=', 'syntax', 1, 19,
+                     id='narrative-bad-round-empty-risk'),
+        pytest.param('"NARRATIVE" round=1 risk=r\n',
+                     'record must start with a keyword', 'syntax', 1, 1,
+                     id='narrative-quoted-keyword'),
+        pytest.param(PREAMBLE + 'NARRATIVE  round=2 risk=s\n',
+                     'duplicate NARRATIVE header', 'duplicate-id', 5, 1,
+                     id='narrative-duplicate'),
+        pytest.param(PREAMBLE + 'NARRATIVE x\n',
+                     'duplicate NARRATIVE header', 'duplicate-id', 5, 1,
+                     id='narrative-duplicate-bad-arity'),
+        # HAPPENING: arity, key=, an int, the description, then duplicate id before stage
+        pytest.param(PREAMBLE + 'HAPPENING h2 stage=2\n',
+                     'HAPPENING takes <id> stage=<int> [actualized] "<description>"',
+                     'syntax', 5, 1,
+                     id='happening-short'),
+        pytest.param(PREAMBLE + 'HAPPENING "h2" stage=2 "y"\n',
+                     'HAPPENING takes <id> stage=<int> [actualized] "<description>"',
+                     'syntax', 5, 1,
+                     id='happening-quoted-id'),
+        pytest.param(PREAMBLE + 'HAPPENING h2 2 "y"\n',
+                     'expected stage=<value>', 'syntax', 5, 14,
+                     id='happening-missing-stage'),
+        pytest.param(PREAMBLE + 'HAPPENING h2 stage= "y"\n',
+                     'empty value for stage=', 'syntax', 5, 14,
+                     id='happening-empty-stage'),
+        pytest.param(PREAMBLE + 'HAPPENING h2 stage=two actualized\n',
+                     "stage must be an integer, got 'two'", 'syntax', 5, 14,
+                     id='happening-bad-stage'),
+        pytest.param(PREAMBLE + 'HAPPENING h2 stage=2 actualized\n',
+                     'HAPPENING needs a quoted description', 'syntax', 5, 1,
+                     id='happening-actualized-no-description'),
+        pytest.param(PREAMBLE + 'HAPPENING h2 stage=2 y\n',
+                     'HAPPENING needs a quoted description', 'syntax', 5, 1,
+                     id='happening-bare-description'),
+        pytest.param(PREAMBLE + 'HAPPENING h2 stage=2 "y" "z"\n',
+                     'HAPPENING needs a quoted description', 'syntax', 5, 1,
+                     id='happening-two-descriptions'),
+        pytest.param(PREAMBLE + 'HAPPENING h2 stage=2 actualized "y" extra\n',
+                     'HAPPENING needs a quoted description', 'syntax', 5, 1,
+                     id='happening-extra'),
+        pytest.param(PREAMBLE + 'HAPPENING  h1 stage=0 "y"\n',
+                     "duplicate happening id 'h1'", 'duplicate-id', 5, 12,
+                     id='happening-duplicate'),
+        pytest.param(PREAMBLE + 'HAPPENING h2  stage=0 "y"\n',
+                     'stage must be >= 1, got 0', 'syntax', 5, 15,
+                     id='happening-stage-0'),
+        # CONTEXT, ACTOR-AT, EDGE, PIVOT: arity and quoting, key=, then references in order
+        pytest.param(PREAMBLE + 'CONTEXT h1\n',
+                     'CONTEXT takes <happening-id> "<detail>"', 'syntax', 5, 1,
+                     id='context-short'),
+        pytest.param(PREAMBLE + 'CONTEXT h1 "d" "e"\n',
+                     'CONTEXT takes <happening-id> "<detail>"', 'syntax', 5, 1,
+                     id='context-long'),
+        pytest.param(PREAMBLE + 'CONTEXT "h1" "d"\n',
+                     'CONTEXT takes <happening-id> "<detail>"', 'syntax', 5, 1,
+                     id='context-quoted-id'),
+        pytest.param(PREAMBLE + 'CONTEXT h1 d\n',
+                     'CONTEXT takes <happening-id> "<detail>"', 'syntax', 5, 1,
+                     id='context-bare-detail'),
+        pytest.param(PREAMBLE + 'CONTEXT  h9 "d"\n',
+                     "unknown happening 'h9'", 'dangling-reference', 5, 10,
+                     id='context-unknown-happening'),
+        pytest.param(PREAMBLE + 'ACTOR-AT a\n',
+                     'ACTOR-AT takes <actor-id> <happening-id>', 'syntax', 5, 1,
+                     id='actor-at-short'),
+        pytest.param(PREAMBLE + 'ACTOR-AT "a" h1\n',
+                     'ACTOR-AT takes <actor-id> <happening-id>', 'syntax', 5, 1,
+                     id='actor-at-quoted-actor'),
+        pytest.param(PREAMBLE + 'ACTOR-AT a "h1"\n',
+                     'ACTOR-AT takes <actor-id> <happening-id>', 'syntax', 5, 1,
+                     id='actor-at-quoted-happening'),
+        pytest.param(PREAMBLE + 'ACTOR-AT  b h9\n',
+                     "unknown actor 'b'", 'dangling-reference', 5, 11,
+                     id='actor-at-unknown-actor'),
+        pytest.param(PREAMBLE + 'ACTOR-AT a  h9\n',
+                     "unknown happening 'h9'", 'dangling-reference', 5, 13,
+                     id='actor-at-unknown-happening'),
+        pytest.param(PREAMBLE + 'EDGE h1 -> h1 actor=a\n',
+                     'EDGE takes <from-id> -> <to-id> actor=<id> action=<id>', 'syntax', 5, 1,
+                     id='edge-short'),
+        pytest.param(PREAMBLE + 'EDGE h1 => h1 actor=a action=go\n',
+                     'EDGE takes <from-id> -> <to-id> actor=<id> action=<id>', 'syntax', 5, 1,
+                     id='edge-no-arrow'),
+        pytest.param(PREAMBLE + 'EDGE "h1" -> h1 actor=a action=go\n',
+                     'EDGE takes <from-id> -> <to-id> actor=<id> action=<id>', 'syntax', 5, 1,
+                     id='edge-quoted-source'),
+        pytest.param(PREAMBLE + 'EDGE h1 -> "h1" actor=a action=go\n',
+                     'EDGE takes <from-id> -> <to-id> actor=<id> action=<id>', 'syntax', 5, 1,
+                     id='edge-quoted-target'),
+        pytest.param(PREAMBLE + 'EDGE h9 -> h9 a action=nope\n',
+                     'expected actor=<value>', 'syntax', 5, 15,
+                     id='edge-missing-actor'),
+        pytest.param(PREAMBLE + 'EDGE h9 -> h9 actor=b action=\n',
+                     'empty value for action=', 'syntax', 5, 23,
+                     id='edge-empty-action'),
+        pytest.param(PREAMBLE + 'EDGE h9 -> h9 actor=b "action=go"\n',
+                     'expected action=<value>', 'syntax', 5, 23,
+                     id='edge-quoted-action'),
+        pytest.param(PREAMBLE + 'EDGE  h8 -> h9 actor=b action=nope\n',
+                     "unknown happening 'h8'", 'dangling-reference', 5, 7,
+                     id='edge-unknown-source'),
+        pytest.param(PREAMBLE + 'EDGE h1 ->  h9 actor=b action=nope\n',
+                     "unknown happening 'h9'", 'dangling-reference', 5, 13,
+                     id='edge-unknown-target'),
+        pytest.param(PREAMBLE + 'EDGE h1 -> h1  actor=b action=nope\n',
+                     "unknown actor 'b'", 'dangling-reference', 5, 16,
+                     id='edge-unknown-actor'),
+        pytest.param(PREAMBLE + 'EDGE h1 -> h1 actor=a  action=nope\n',
+                     "unknown action 'nope'", 'dangling-reference', 5, 24,
+                     id='edge-unknown-action'),
+        pytest.param(PREAMBLE + 'PIVOT h1 enables=go\n',
+                     'PIVOT takes <happening-id> enables=<action-id> defeat=<action-id>',
+                     'syntax', 5, 1,
+                     id='pivot-short'),
+        pytest.param(PREAMBLE + 'PIVOT "h1" enables=go defeat=go\n',
+                     'PIVOT takes <happening-id> enables=<action-id> defeat=<action-id>',
+                     'syntax', 5, 1,
+                     id='pivot-quoted-happening'),
+        pytest.param(PREAMBLE + 'PIVOT h9 go defeat=nope\n',
+                     'expected enables=<value>', 'syntax', 5, 10,
+                     id='pivot-missing-enables'),
+        pytest.param(PREAMBLE + 'PIVOT h9 enables=nope defeat=\n',
+                     'empty value for defeat=', 'syntax', 5, 23,
+                     id='pivot-empty-defeat'),
+        pytest.param(PREAMBLE + 'PIVOT  h9 enables=nope defeat=nope\n',
+                     "unknown happening 'h9'", 'dangling-reference', 5, 8,
+                     id='pivot-unknown-happening'),
+        pytest.param(PREAMBLE + 'PIVOT h1  enables=nope defeat=nope\n',
+                     "unknown action 'nope'", 'dangling-reference', 5, 11,
+                     id='pivot-unknown-enables'),
+        pytest.param(PREAMBLE + 'PIVOT h1 enables=go  defeat=nope\n',
+                     "unknown action 'nope'", 'dangling-reference', 5, 22,
+                     id='pivot-unknown-defeat'),
+    ])
+    def test_record_errors(self, document, message, code, line, column):
+        # expected values recorded from the per-keyword parser this table replaced
+        with pytest.raises(NarrativeSyntaxError) as exc:
+            parse_narrative(document)
         assert str(exc.value) == f"line {line}, column {column}: {message}"
         assert (exc.value.code, exc.value.line, exc.value.column) == (code, line, column)
 
