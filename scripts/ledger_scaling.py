@@ -1,12 +1,14 @@
 """Time the round ledger at two lengths and fail if its cost grows faster than linearly.
 
-For each length N, runs ``run_round`` N times, with a new imagined risk every
-round (the atlanta scenario renumbered) and one 20-row observed feed tuple
-shared by every round, then ``replay_ledger`` over the result. Each time is
-the fastest of ``REPEATS`` runs. It prints the four times and exits 1 when
-either 10,000-round time is more than ``MAX_RATIO`` times its 2,500-round
-time: linear growth gives about 4-5x, a per-round cost that grows with the
-ledger's length 16x.
+For each case and each length N, runs ``run_round`` N times over the atlanta
+scenario under one 20-row observed feed tuple shared by every round, then
+``replay_ledger`` over the result. In the first case each round imagines a
+new risk (the scenario renumbered); in the second the rounds cycle through
+40 risk ids, so from round 41 on every round re-speculates a risk and the
+running PKRE takes the replaced estimate out. Each time is the fastest of
+``REPEATS`` runs. It prints the eight times and exits 1 when any 10,000-round
+time is more than ``MAX_RATIO`` times its 2,500-round time: linear growth
+gives about 4-5x, a per-round cost that grows with the ledger's length 16x.
 
     PYTHONPATH=src python scripts/ledger_scaling.py
 """
@@ -34,14 +36,16 @@ from darkspec import (
 LENGTHS = (2_500, 10_000)
 MAX_RATIO = 10.0
 REPEATS = 3
+CASES = (("new risk every round", None), ("40 risks re-speculated", 40))
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "atlanta.licain"
 CONFIG = EngineConfig(
     costs=CostModel.constant(c_write=1.0, c_spec=2.0), redline=RedLineConfig(nu_star=1e6)
 )
 
 
-def timed_ledger(rounds: int) -> tuple[float, float]:
-    """(run_round seconds, replay_ledger seconds) over ``rounds`` rounds."""
+def timed_ledger(rounds: int, risks: int | None) -> tuple[float, float]:
+    """(run_round seconds, replay_ledger seconds) over ``rounds`` rounds, the
+    round's risk id cycling through ``risks`` ids (None: a new id every round)."""
     narrative = parse_narrative(SCENARIO.read_text(encoding="utf-8"))
     feed = tuple(
         estimate_from_observation(f"obs-{i}", [1.0 + i, 0.5 * i + 0.25], 3.0)
@@ -51,9 +55,10 @@ def timed_ledger(rounds: int) -> tuple[float, float]:
     ledger = RoundLedger()
     for r in range(1, rounds + 1):
         result = UnderwritingResult(lambda_hat=0.001 * (r % 97), xi_hat=1.0 + r % 13)
+        risk = r if risks is None else r % risks
         ledger = run_round(
             ledger,
-            replace(narrative, round=r, risk_id=f"{narrative.risk_id}-{r}"),
+            replace(narrative, round=r, risk_id=f"{narrative.risk_id}-{risk}"),
             lambda _n, result=result: result,
             feed,
             CONFIG,
@@ -68,16 +73,17 @@ def timed_ledger(rounds: int) -> tuple[float, float]:
 
 
 def main() -> int:
-    short, long = (
-        [min(times) for times in zip(*(timed_ledger(n) for _ in range(REPEATS)))]
-        for n in LENGTHS
-    )
     failed = False
-    for name, a, b in zip(("run_round", "replay_ledger"), short, long):
-        ratio = b / a
-        failed |= ratio > MAX_RATIO
-        print(f"{name}: {LENGTHS[0]} rounds {a:.3f} s, {LENGTHS[1]} rounds {b:.3f} s, "
-              f"ratio {ratio:.1f} (limit {MAX_RATIO:g})")
+    for case, risks in CASES:
+        short, long = (
+            [min(times) for times in zip(*(timed_ledger(n, risks) for _ in range(REPEATS)))]
+            for n in LENGTHS
+        )
+        for name, a, b in zip(("run_round", "replay_ledger"), short, long):
+            ratio = b / a
+            failed |= ratio > MAX_RATIO
+            print(f"{case}, {name}: {LENGTHS[0]} rounds {a:.3f} s, {LENGTHS[1]} rounds "
+                  f"{b:.3f} s, ratio {ratio:.1f} (limit {MAX_RATIO:g})")
     return 1 if failed else 0
 
 

@@ -405,7 +405,7 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
             )
         costs = None
     else:
-        r_max = _as_float(cfg.values, "stopping.R_max", 20)
+        r_max = _as_float(cfg.values, "stopping.R_max", 20.0)
         if not (r_max.is_integer() and 1 <= r_max <= MAX_STOPPING_HORIZON):
             raise ConfigError(
                 f"key 'stopping.R_max' must be an integer from 1 to "

@@ -340,6 +340,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
             raise ConfigError(f"tolerance must be a finite number > 0, got {self.tolerance}")
         referenced = list(self.files)

@@ -397,53 +397,35 @@ class RoundRecord:
     red_line: bool | None
 
 
-def _add_exact(partials: list[float], x: float) -> list[float] | None:
-    """Shewchuk's non-overlapping partials of ``sum(partials) + x``, exactly:
-    the msum recipe math.fsum runs, zeros dropped as math.fsum drops them. A
-    new list, so ``partials`` keeps its sum; None when the sum is not finite."""
-    out = []
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            out.append(lo)
-        x = hi
-    if x:
-        out.append(x)
-    # once a term or a partial sum is inf or nan, so is every later hi
-    return out if math.isfinite(x) else None
+_UNIT = 2**1074  # every finite double is a whole number of 2**-1074
 
 
-def _terms(estimate: RiskEstimate, sign: float = 1.0) -> tuple[float, float]:
-    return sign * expected_jump_loss(estimate), sign * estimate_loss_variance(estimate)
-
-
-_Sums = tuple[list[float], list[float]]  # partials of the loss and the variance terms
-
-
-def _sums(terms, start: _Sums | None = None) -> _Sums | None:
-    """``start`` (or nothing) plus every (loss, variance) pair in ``terms``;
-    None once a sum is not finite."""
-    loss, variance = start or ([], [])
-    for a, b in terms:
-        loss, variance = _add_exact(loss, a), _add_exact(variance, b)
-        if loss is None or variance is None:
-            return None
-    return loss, variance
+def _units(estimates) -> tuple[int, int] | None:
+    """The loss and the variance terms of ``estimates``, each summed exactly
+    as an int in units of 2**-1074; None when a term is not finite."""
+    sums = [0, 0]
+    for estimate in estimates:
+        terms = expected_jump_loss(estimate), estimate_loss_variance(estimate)
+        for i, term in enumerate(terms):
+            if not math.isfinite(term):
+                return None
+            n, d = term.as_integer_ratio()  # d = 2**k with k <= 1074
+            sums[i] += n << (1075 - d.bit_length())
+    return sums[0], sums[1]
 
 
 class _RunningPKRE:
     """The PKRE state of the newest ledger of a chain, which each round moves
     on in place: the latest underwriting estimate per imagined risk, in
-    first-seen order, the feed tuple folded last, and the partials of the
-    imagined and the observed sums.
+    first-seen order, the feed tuple folded last, and the imagined and the
+    observed sums of the loss and the variance terms, as ints in units of
+    2**-1074.
 
-    The exact sum of a sum's partials is the exact sum of its terms, so
-    math.fsum over the partials gives what math.fsum over the terms gives,
-    however the terms were added and taken away. A sum with a term or partial
-    that is not finite is None, and a round then sums the lists through
+    Every finite double is a whole number of those units, so the int sums are
+    exact however the terms were added and taken away, and one int division
+    by 2**1074 rounds a sum correctly, to the bits math.fsum gives over the
+    terms. A sum with a term that is not finite is None, and a round whose
+    sums are None or divide past the float range sums the lists through
     compute_pkre, raising or giving inf and nan as compute_pkre does.
     """
 
@@ -452,9 +434,9 @@ class _RunningPKRE:
         self.imagined: dict[str, RiskEstimate] = {}
         for r in records:
             self.imagined[r.risk_id] = r.underwriting.to_estimate(r.risk_id, r.round)
-        self.imagined_sums = _sums(map(_terms, self.imagined.values()))
+        self.imagined_sums = _units(self.imagined.values())
         self.feed: tuple[RiskEstimate, ...] | None = None
-        self.observed_sums: _Sums | None = None
+        self.observed_sums: tuple[int, int] | None = None
 
     def pkre_after(
         self,
@@ -462,35 +444,37 @@ class _RunningPKRE:
         risk_id: str,
         estimate: RiskEstimate,
         round_index: int,
-    ) -> tuple[PKREResult, _Sums | None, _Sums | None]:
+    ) -> tuple[PKREResult, tuple[int, int] | None, tuple[int, int] | None]:
         """(PKRE, observed sums, imagined sums) once ``estimate`` is the
         latest for ``risk_id`` under ``feed``, changing nothing here."""
         if feed is self.feed:  # identity: a tuple of frozen estimates
             observed = self.observed_sums
         else:
-            observed = _sums(map(_terms, feed))
+            observed = _units(feed)
             if observed is not None:
                 compute_pkre(feed, (), round_index)  # raises on a duplicate id
-        replaced = self.imagined.get(risk_id)
-        swap = [_terms(estimate)]
-        if replaced is not None:
-            swap.insert(0, _terms(replaced, -1.0))
-        imagined = self.imagined_sums and _sums(swap, self.imagined_sums)
-        if imagined is None or observed is None:
-            estimates = list({**self.imagined, risk_id: estimate}.values())
+        added = self.imagined_sums and _units((estimate,))
+        if added is None:
             # a term that is not finite came or went: start again from the terms
-            imagined = imagined or _sums(map(_terms, estimates))
-            if imagined is None or observed is None:
-                return compute_pkre(feed, estimates, round_index), observed, imagined
-        (observed_loss, observed_variance), (imagined_loss, imagined_variance) = observed, imagined
-        pkre = PKREResult(
-            round=round_index,
-            observed_total=math.fsum(observed_loss),
-            imagined_total=math.fsum(imagined_loss),
-            total=math.fsum(observed_loss + imagined_loss),
-            variance=math.fsum(observed_variance + imagined_variance),
-        )
-        return pkre, observed, imagined
+            imagined = _units({**self.imagined, risk_id: estimate}.values())
+        else:
+            replaced = self.imagined.get(risk_id)
+            taken = _units((replaced,) if replaced else ())
+            imagined = tuple(s + a - t for s, a, t in zip(self.imagined_sums, added, taken))
+        if observed is not None and imagined is not None:
+            (observed_loss, observed_var), (imagined_loss, imagined_var) = observed, imagined
+            try:
+                return PKREResult(
+                    round=round_index,
+                    observed_total=observed_loss / _UNIT,
+                    imagined_total=imagined_loss / _UNIT,
+                    total=(observed_loss + imagined_loss) / _UNIT,
+                    variance=(observed_var + imagined_var) / _UNIT,
+                ), observed, imagined
+            except OverflowError:  # past the float range: compute_pkre raises as before
+                pass
+        estimates = list({**self.imagined, risk_id: estimate}.values())
+        return compute_pkre(feed, estimates, round_index), observed, imagined
 
     def ledger(self, records: tuple[RoundRecord, ...]) -> "RoundLedger":
         """The ledger of ``records``, which this state is now for."""

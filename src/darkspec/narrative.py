@@ -230,17 +230,19 @@ _REFERENCES = {
 def _shape(usage: str) -> tuple:
     """The checks a usage asks for: (least, most operand count; the (position,
     field) of each token part the arity check reads, a token being (text,
-    column, quoted), and the value it wants there: False for <...>, True for
-    "<...>", the text of a literal; (position, key) pairs; (position, kind)
-    references). Words after an optional one are the keyword's own to check."""
+    column, quoted), and the value it wants there: each word's quoted flag,
+    True only for "<...>", then each literal's text, so a literal is bare;
+    (position, key) pairs; (position, kind) references). Words after an
+    optional one are the keyword's own to check."""
     words = list(enumerate(usage.partition(" [")[0].split()))
     plain = [(i, w) for i, w in words if "=" not in w]
+    literals = [(i, w) for i, w in plain if w[0] not in '<"']
     least = len(usage.split()) - ("[" in usage)
     return (
         least,
         math.inf if "[" in usage else least,
-        [(i, 2 if w[0] in '<"' else 0) for i, w in plain],
-        [w[0] == '"' if w[0] in '<"' else w for i, w in plain],
+        [(i, 2) for i, w in plain] + [(i, 0) for i, w in literals],
+        [w[0] == '"' for i, w in plain] + [w for i, w in literals],
         tuple((i, w.partition("=")[0]) for i, w in words if "=" in w),
         tuple((i, kind) for i, w in words for kind, named in _REFERENCES.items() if w in named),
     )

@@ -589,6 +589,14 @@ class TestReadmeExample:
         write_ledger(read_ledger(fixture), tmp_path / "ledger.jsonl")
         assert (tmp_path / "ledger.jsonl").read_bytes() == fixture.read_bytes()
 
+    @pytest.mark.parametrize("fixture", [LEDGER_V2, LEDGER_EXAMPLE], ids=["v2", "example"])
+    def test_fixture_replays_to_the_same_bytes(self, tmp_path, monkeypatch, fixture):
+        # bytes, not ==: -0.0 == 0.0, and a nan equals no value
+        monkeypatch.chdir(REPO_ROOT)
+        engine = engine_config(load_config_file("scenarios/run.cfg"))
+        write_ledger(replay_ledger(read_ledger(fixture), engine), tmp_path / "ledger.jsonl")
+        assert (tmp_path / "ledger.jsonl").read_bytes() == fixture.read_bytes()
+
     def test_v1_and_v2_fixtures_hold_the_same_ledger(self):
         assert read_ledger(LEDGER_V1) == read_ledger(LEDGER_V2)
 
@@ -615,6 +623,13 @@ class TestStopping:
         code = main(["stopping", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
         assert "gate_vs_brute" in (tmp_path / "out" / "stopping_report.csv").read_text()
+
+    def test_r_max_defaults_to_20(self, tmp_path, capsys):
+        without_r_max = STOPPING_GEOMETRIC.replace("stopping.R_max = 20\n", "")
+        cfg = write_config(tmp_path / "c.cfg", without_r_max)
+        code = main(["stopping", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "horizon 20" in capsys.readouterr().out
 
 
 FEED_HEADER = b"component_id,source,round,lambda_hat,xi_hat,severity_var,window,n_events\n"
@@ -731,8 +746,10 @@ class TestBadInput:
         ("run-process", RUN_PROCESS + "round.2.window = 0\n", "round.2.window"),
         ("simulate", SIMULATE_MC + "component.a.commencement = 60.0\n",
          "component.a.commencement"),
+        ("simulate", SIMULATE_MC + "seed = -1\n", "seed"),
+        ("gap-study", GAP_FULL_DETECTION + "seed = -1\n", "seed"),
     ], ids=["simulate-variance", "gap-study-variance", "round-lambda-hat", "round-window",
-            "simulate-commencement"])
+            "simulate-commencement", "simulate-seed-negative", "gap-study-seed-negative"])
     def test_rejected_before_any_draw_or_round(self, tmp_path, capsys, monkeypatch,
                                                scenario_paths, command, config, key):
         import darkspec.cli as cli

@@ -782,6 +782,16 @@ class TestRunningPkre:
     # an inf term replaced by a finite one, after a duplicate feed was turned away
     @example([(0, inf, "different", feed_of(1, 0.0)), (1, unit, "same", ()),
               (1, unit, "duplicate", ()), (0, unit, "same", ())], 1, (0, big, "different", ()))
+    # half-way ties, rounded to even: 1 + 2**-53 gives 1.0, and once risk 0 is
+    # 1 + 2**-52, (1 + 2**-52) + 2**-53 gives 1 + 2**-51
+    @example([(0, unit, "same", ()), (1, UnderwritingResult(2.0**-53, 1.0), "same", ()),
+              (0, UnderwritingResult(1.0 + 2.0**-52, 1.0), "same", ())], 0, (1, unit, "same", ()))
+    # a subnormal total, from subnormal terms in both sets
+    @example([(0, UnderwritingResult(5e-324, 1.0), "different", feed_of(1, 1e-310)),
+              (1, UnderwritingResult(1e-310, 3.0), "same", ())], 0, (0, zero, "same", ()))
+    # two finite terms whose sum passes the float range: OverflowError, as compute_pkre
+    @example([(0, UnderwritingResult(1e308, 1.0), "same", ()),
+              (1, UnderwritingResult(1e308, 1.0), "same", ())], 0, (1, zero, "same", ()))
     @settings(max_examples=200, deadline=None)
     def test_records_match_compute_pkre_every_round(self, steps, older_index, extra):
         ledger, feed, history = RoundLedger(), (), []
@@ -827,6 +837,16 @@ class TestRunningPkre:
                 except (ValueError, OverflowError) as exc:
                     outcomes.append(type(exc))
             assert outcomes[0] == outcomes[1]
+
+
+def test_a_sum_past_the_float_range_raises_what_compute_pkre_raises():
+    huge = UnderwritingResult(1e308, 1.0)
+    ledger = TestRunningPkre().advance(RoundLedger(), (0, huge), ())
+    estimates = [*ledger.imagined.values(), huge.to_estimate("risk-1", 2)]
+    with pytest.raises(OverflowError) as expected:
+        compute_pkre((), estimates, 2)
+    with pytest.raises(OverflowError, match=f"^{re.escape(str(expected.value))}$"):
+        TestRunningPkre().advance(ledger, (1, huge), ())
 
 
 class TestLinearWork:

@@ -280,6 +280,10 @@ class TestParsing:
         pytest.param(PREAMBLE + 'EDGE h1 => h1 actor=a action=go\n',
                      'EDGE takes <from-id> -> <to-id> actor=<id> action=<id>', 'syntax', 5, 1,
                      id='edge-no-arrow'),
+        # a quoted "->" is not the arrow: a literal is bare
+        pytest.param(PREAMBLE + 'EDGE h1 "->" h1 actor=a action=go\n',
+                     'EDGE takes <from-id> -> <to-id> actor=<id> action=<id>', 'syntax', 5, 1,
+                     id='edge-quoted-arrow'),
         pytest.param(PREAMBLE + 'EDGE "h1" -> h1 actor=a action=go\n',
                      'EDGE takes <from-id> -> <to-id> actor=<id> action=<id>', 'syntax', 5, 1,
                      id='edge-quoted-source'),
