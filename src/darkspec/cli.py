@@ -34,7 +34,7 @@ from .engine import (
     CostModel,
     RoundDeltas,
     RoundLedger,
-    continuation_constant,
+    continuation,
     optimal_stopping_brute,
     run_round,
     write_ledger,
@@ -251,6 +251,8 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
 
 def cmd_gap_study(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
+    if cfg.reps < 2:  # the variance oracle's sample variance needs two reps
+        raise ConfigError(f"key 'reps' must be >= 2 under gap-study, got {cfg.reps}")
     specs = parse_components(cfg.values, need_variance=True)  # the variance-gap formula
     profile = detection_profile(specs)  # validates pi before any simulation
     window = _as_float(cfg.values, "window", 1.0)
@@ -388,21 +390,13 @@ def cmd_run_process(cfg: ExperimentConfig) -> int:
 def cmd_stopping(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     rho = _as_float(cfg.values, "stopping.rho", 1.0)
-    if not 0.0 < rho <= 1.0:
-        raise ConfigError(
-            f"key 'stopping.rho' must lie in (0, 1], got {cfg.values['stopping.rho']!r}"
-        )
     if "stopping.utilities" in cfg.values:
         text = cfg.values["stopping.utilities"]
         try:
             utilities = [float(u) for u in text.split(",")]
         except ValueError:
             raise ConfigError(f"key 'stopping.utilities' must be numbers, got {text!r}")
-        if len(utilities) > MAX_STOPPING_HORIZON or not all(map(math.isfinite, utilities)):
-            raise ConfigError(
-                f"key 'stopping.utilities' must be at most {MAX_STOPPING_HORIZON} "
-                f"finite numbers, got {text!r}"
-            )
+        keys = ("stopping.rho", "stopping.utilities")
         costs = None
     else:
         r_max = _as_float(cfg.values, "stopping.R_max", 20.0)
@@ -433,7 +427,9 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
             raise ConfigError(
                 "keys 'cost.c_write' and 'cost.c_spec' give a non-finite round utility"
             )
-    result = optimal_stopping_brute(utilities, rho)
+        keys = ("stopping.rho",)
+    with naming_keys(*keys):
+        result = optimal_stopping_brute(utilities, rho)
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "stopping.csv", "w", encoding="utf-8") as out:
         out.write(csv_line(["round", "utility", "value_if_stop_here"]))
@@ -444,9 +440,8 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
     if costs is not None and rho == 1.0:
         completed = 0
         for r, delta in enumerate(deltas, start=1):
-            gate = continuation_constant(
-                costs, RoundDeltas(statistical=delta, mitigation=0.0, option=0.0)
-            )
+            # constant costs do not read the happening count
+            gate = continuation(costs, 1, r, RoundDeltas(delta, 0.0, 0.0))
             if not gate.continue_:
                 break
             completed = r

@@ -25,8 +25,8 @@ from .engine import (
     RoundBenefits,
     UnderwritingResult,
 )
-from .errors import ConfigError, ParameterError
-from .process import LevyComponent, RiskCategory
+from .errors import ConfigError, DomainError, ParameterError
+from .process import LevyComponent
 from .severity import (
     Degenerate,
     Exponential,
@@ -98,11 +98,11 @@ def _as_int(values: Mapping[str, str], key: str, default: int | None = None) -> 
 
 @contextmanager
 def naming_keys(*keys: str):
-    """Re-raise a model constructor's ParameterError as a ConfigError that
-    names the config keys the model was built from."""
+    """Re-raise a model's ParameterError or DomainError as a ConfigError
+    that names the config keys the model was built from."""
     try:
         yield
-    except ParameterError as exc:
+    except (ParameterError, DomainError) as exc:
         names = ", ".join(repr(key) for key in keys)
         raise ConfigError(f"{'keys' if len(keys) > 1 else 'key'} {names}: {exc}") from exc
 
@@ -176,11 +176,6 @@ def parse_components(
     specs = []
     for cid in ids:
         prefix = f"component.{cid}"
-        category_text = values.get(f"{prefix}.category", "observed").lower()
-        try:
-            category = RiskCategory(category_text)
-        except ValueError:
-            raise ConfigError(f"unknown category {category_text!r} for component {cid}")
         drift = _as_float(values, f"{prefix}.drift", 0.0)
         diffusion = _as_float(values, f"{prefix}.diffusion", 0.0)
         jump_rate = _as_float(values, f"{prefix}.jump_rate")
@@ -193,7 +188,7 @@ def parse_components(
         ]
         with naming_keys(*given):
             component = LevyComponent(
-                cid, drift, diffusion, jump_rate, severity, category, commencement
+                cid, drift, diffusion, jump_rate, severity, commencement=commencement
             )
         pi = None
         if f"{prefix}.pi" in values:

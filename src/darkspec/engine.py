@@ -148,7 +148,7 @@ class NarrativeQuality:
 
 
 # ---------------------------------------------------------------------------
-# continuation gates
+# the continuation gate
 
 
 @dataclass(frozen=True)
@@ -175,41 +175,20 @@ class GateDecision:
         return "continue" if self.continue_ else "stop"
 
 
-def continuation_constant(costs: CostModel, deltas: RoundDeltas) -> GateDecision:
-    """Constant-cost gate: speculate iff c_write + c_spec <= summed deltas.
-
-    A stop is reversible; a later round may satisfy the inequality again.
-    """
-    if costs.variable:
-        raise DomainError("constant gate needs a constant-cost model")
-    lhs = costs.c_write + float(costs.c_spec)
-    rhs = deltas.total
-    return GateDecision(continue_=lhs <= rhs, lhs=lhs, rhs=rhs)
-
-
-def continuation_variable(
+def continuation(
     costs: CostModel,
     happening_count: int,
     round_index: int,
     deltas: RoundDeltas,
 ) -> GateDecision:
-    """Variable-cost gate with a concave per-round crowding term.
-
-    speculate iff c_write + ln(1 + H) + (ln(R + 2) - ln(R + 1)) <= summed
-    deltas, where the caller's second-moment delta was built at this
-    narrative's noise variance.
-    """
-    if not costs.variable:
-        raise DomainError("variable gate needs a variable-cost model")
-    if happening_count < 1:
-        raise DomainError(f"happening count must be >= 1, got {happening_count}")
+    """Speculate iff c_write + the cost model's speculation cost (plus the
+    concave crowding term ln(R + 2) - ln(R + 1) in variable-cost mode) <=
+    summed deltas. A stop is reversible; a later round may continue again."""
     if round_index < 1:
         raise DomainError(f"round index must be >= 1, got {round_index}")
-    lhs = (
-        costs.c_write
-        + math.log1p(happening_count)
-        + (math.log(round_index + 2) - math.log(round_index + 1))
-    )
+    lhs = costs.c_write + costs.speculation_cost(happening_count)
+    if costs.variable:
+        lhs += math.log(round_index + 2) - math.log(round_index + 1)
     return GateDecision(continue_=lhs <= deltas.total, lhs=lhs, rhs=deltas.total)
 
 
@@ -624,10 +603,7 @@ def _next_record(
         mitigation=benefits.mitigation - (previous.benefits.mitigation if previous else 0.0),
         option=benefits.option - (previous.benefits.option if previous else 0.0),
     )
-    if costs.variable:
-        gate = continuation_variable(costs, happening_count, round_index, deltas)
-    else:
-        gate = continuation_constant(costs, deltas)
+    gate = continuation(costs, happening_count, round_index, deltas)
 
     red_line = (
         red_line_check(pkre.total, config.redline) if config.redline else None

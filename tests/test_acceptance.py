@@ -38,7 +38,7 @@ from darkspec import (
     apply_mitigation,
     bias_nospec,
     build_narrative,
-    continuation_constant,
+    continuation,
     delta_benefit,
     find_pivots,
     mitigator_argmin,
@@ -287,9 +287,7 @@ class TestCriterion8:
             deltas = [initial * decay**r for r in range(1, 21)]
             completed = 0
             for r, delta in enumerate(deltas, start=1):
-                if not continuation_constant(
-                    costs, RoundDeltas(delta, 0.0, 0.0)
-                ).continue_:
+                if not continuation(costs, 1, r, RoundDeltas(delta, 0.0, 0.0)).continue_:
                     break
                 completed = r
             brute = optimal_stopping_brute([d - cost for d in deltas], rho=1.0)

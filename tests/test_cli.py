@@ -22,6 +22,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 LEDGER_V1 = REPO_ROOT / "tests" / "data" / "ledger_v1.jsonl"
 LEDGER_V2 = REPO_ROOT / "tests" / "data" / "ledger_v2.jsonl"
 LEDGER_EXAMPLE = REPO_ROOT / "tests" / "data" / "ledger_example.jsonl"
+STOPPING_SCENARIO = REPO_ROOT / "scenarios" / "stopping.cfg"
 
 
 def write_config(path, text):
@@ -624,6 +625,21 @@ class TestStopping:
         assert code == 0
         assert "gate_vs_brute" in (tmp_path / "out" / "stopping_report.csv").read_text()
 
+    @pytest.mark.parametrize("case", ["utilities", "geometric", "discounted"])
+    def test_outputs_match_the_fixtures(self, tmp_path, case):
+        # geometric is scenarios/stopping.cfg, the one config with a gate row
+        scenario = STOPPING_SCENARIO.read_text(encoding="utf-8")
+        config = {
+            "utilities": "stopping.rho = 1.0\nstopping.utilities = 5,3,1,-1,-3\n",
+            "geometric": scenario,
+            "discounted": scenario.replace("stopping.rho = 1.0", "stopping.rho = 0.9"),
+        }[case]
+        cfg = write_config(tmp_path / "c.cfg", config)
+        assert main(["stopping", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        for name in ("stopping.csv", "stopping_report.csv"):
+            fixture = REPO_ROOT / "tests" / "data" / f"stopping_{case}" / name
+            assert (tmp_path / "out" / name).read_bytes() == fixture.read_bytes()
+
     def test_r_max_defaults_to_20(self, tmp_path, capsys):
         without_r_max = STOPPING_GEOMETRIC.replace("stopping.R_max = 20\n", "")
         cfg = write_config(tmp_path / "c.cfg", without_r_max)
@@ -748,8 +764,10 @@ class TestBadInput:
          "component.a.commencement"),
         ("simulate", SIMULATE_MC + "seed = -1\n", "seed"),
         ("gap-study", GAP_FULL_DETECTION + "seed = -1\n", "seed"),
+        ("gap-study", GAP_FULL_DETECTION + "reps = 1\n", "'reps'"),
     ], ids=["simulate-variance", "gap-study-variance", "round-lambda-hat", "round-window",
-            "simulate-commencement", "simulate-seed-negative", "gap-study-seed-negative"])
+            "simulate-commencement", "simulate-seed-negative", "gap-study-seed-negative",
+            "gap-study-reps-1"])
     def test_rejected_before_any_draw_or_round(self, tmp_path, capsys, monkeypatch,
                                                scenario_paths, command, config, key):
         import darkspec.cli as cli
