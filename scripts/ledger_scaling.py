@@ -2,11 +2,12 @@
 
 For each case and each length N, runs ``run_round`` N times over the atlanta
 scenario under one 20-row observed feed tuple shared by every round, then
-``replay_ledger`` over the result. In the first case each round imagines a
+``replay_ledger`` over the result, then ``write_ledger`` and ``read_ledger``
+through a file in a temporary directory. In the first case each round imagines a
 new risk (the scenario renumbered); in the second the rounds cycle through
 40 risk ids, so from round 41 on every round re-speculates a risk and the
 running PKRE takes the replaced estimate out. Each time is the fastest of
-``REPEATS`` runs. It prints the eight times and exits 1 when any 10,000-round
+``REPEATS`` runs. It prints the twelve times and exits 1 when any 10,000-round
 time is more than ``MAX_RATIO`` times its 2,500-round time: linear growth
 gives about 4-5x, a per-round cost that grows with the ledger's length 16x.
 
@@ -16,6 +17,7 @@ gives about 4-5x, a per-round cost that grows with the ledger's length 16x.
 from __future__ import annotations
 
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -29,8 +31,10 @@ from darkspec import (
     UnderwritingResult,
     estimate_from_observation,
     parse_narrative,
+    read_ledger,
     replay_ledger,
     run_round,
+    write_ledger,
 )
 
 LENGTHS = (2_500, 10_000)
@@ -43,9 +47,10 @@ CONFIG = EngineConfig(
 )
 
 
-def timed_ledger(rounds: int, risks: int | None) -> tuple[float, float]:
-    """(run_round seconds, replay_ledger seconds) over ``rounds`` rounds, the
-    round's risk id cycling through ``risks`` ids (None: a new id every round)."""
+def timed_ledger(rounds: int, risks: int | None) -> tuple[float, float, float]:
+    """(run_round seconds, replay_ledger seconds, write_ledger plus read_ledger
+    seconds) over ``rounds`` rounds, the round's risk id cycling through
+    ``risks`` ids (None: a new id every round)."""
     narrative = parse_narrative(SCENARIO.read_text(encoding="utf-8"))
     feed = tuple(
         estimate_from_observation(f"obs-{i}", [1.0 + i, 0.5 * i + 0.25], 3.0)
@@ -69,7 +74,15 @@ def timed_ledger(rounds: int, risks: int | None) -> tuple[float, float]:
     end = time.perf_counter()
     if replayed != ledger:
         raise SystemExit("replay_ledger did not reproduce the ledger")
-    return middle - start, end - middle
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "ledger.jsonl"
+        trip_start = time.perf_counter()
+        write_ledger(ledger, path)
+        loaded = read_ledger(path)
+        round_trip = time.perf_counter() - trip_start
+    if loaded != ledger:
+        raise SystemExit("read_ledger did not give back the written ledger")
+    return middle - start, end - middle, round_trip
 
 
 def main() -> int:
@@ -79,7 +92,7 @@ def main() -> int:
             [min(times) for times in zip(*(timed_ledger(n, risks) for _ in range(REPEATS)))]
             for n in LENGTHS
         )
-        for name, a, b in zip(("run_round", "replay_ledger"), short, long):
+        for name, a, b in zip(("run_round", "replay_ledger", "ledger round trip"), short, long):
             ratio = b / a
             failed |= ratio > MAX_RATIO
             print(f"{case}, {name}: {LENGTHS[0]} rounds {a:.3f} s, {LENGTHS[1]} rounds "

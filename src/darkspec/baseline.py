@@ -136,11 +136,6 @@ def variance_gap_with_error(
     return base - noise
 
 
-def improvement_curve(round_index: int, profile: ImprovingDetection) -> float:
-    """Detection probability of the improving non-speculative analyst at a round."""
-    return profile.detection(round_index)
-
-
 def delta_benefit(
     round_index: int,
     profile: ImprovingDetection,

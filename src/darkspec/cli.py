@@ -355,7 +355,7 @@ def cmd_run_process(cfg: ExperimentConfig) -> int:
         try:
             with open(name, "r", encoding="utf-8") as source:
                 observed = tuple(read_estimates_csv(source))
-        except (UnicodeDecodeError, DomainError) as exc:
+        except (OSError, UnicodeDecodeError, DomainError) as exc:
             raise ConfigError(f"observed_csv {name}: {exc}") from exc
     ledger = RoundLedger()
     for index, script in enumerate(rounds):
@@ -374,7 +374,7 @@ def cmd_run_process(cfg: ExperimentConfig) -> int:
         record = ledger.records[-1]
         red = "-" if record.red_line is None else ("RED-LINE" if record.red_line else "ok")
         print(
-            f"round {record.round}: risk={record.risk_id} PKRE={record.pkre_total!r} "
+            f"round {record.round}: risk={record.risk_id} PKRE={record.pkre.total!r} "
             f"decision={record.decision} red_line={red}"
         )
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -391,6 +391,9 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
     rho = _as_float(cfg.values, "stopping.rho", 1.0)
     if "stopping.utilities" in cfg.values:
+        for key in ("stopping.R_max", "stopping.delta_initial", "stopping.delta_decay"):
+            if key in cfg.values:
+                raise ConfigError(f"keys 'stopping.utilities' and {key!r} cannot both be set")
         text = cfg.values["stopping.utilities"]
         try:
             utilities = [float(u) for u in text.split(",")]

@@ -43,34 +43,34 @@ LEDGER_SCHEMA_VERSION = 2  # read_ledger also reads version 1
 @dataclass(frozen=True)
 class CostModel:
     """Round costs: narrative writing, speculation, optional sponsored
-    observation. Speculation cost is either a constant or ln(1 + H_r)."""
+    observation. Speculation cost is the constant c_spec, or ln(1 + H_r)
+    when c_spec is None."""
 
     c_write: float
     c_spec: float | None = None
     c_obs: float = 0.0
-    variable: bool = False
 
     def __post_init__(self):
         if not self.c_write > 0.0 or not math.isfinite(self.c_write):
             raise ParameterError(f"c_write must be > 0, got {self.c_write}")
         if self.c_obs < 0.0 or not math.isfinite(self.c_obs):
             raise ParameterError(f"c_obs must be >= 0, got {self.c_obs}")
-        if self.variable:
-            if self.c_spec is not None:
-                raise ParameterError("variable cost mode does not take c_spec")
-        else:
-            if self.c_spec is None or not self.c_spec > 0.0 or not math.isfinite(self.c_spec):
-                raise ParameterError(
-                    f"constant cost mode needs a finite c_spec > 0, got {self.c_spec}"
-                )
+        if not self.variable and not 0.0 < self.c_spec < math.inf:
+            raise ParameterError(
+                f"constant cost mode needs a finite c_spec > 0, got {self.c_spec}"
+            )
+
+    @property
+    def variable(self) -> bool:
+        return self.c_spec is None
 
     @classmethod
     def constant(cls, c_write: float, c_spec: float, c_obs: float = 0.0) -> "CostModel":
-        return cls(c_write=c_write, c_spec=c_spec, c_obs=c_obs, variable=False)
+        return cls(c_write=c_write, c_spec=c_spec, c_obs=c_obs)
 
     @classmethod
     def variable_cost(cls, c_write: float, c_obs: float = 0.0) -> "CostModel":
-        return cls(c_write=c_write, c_spec=None, c_obs=c_obs, variable=True)
+        return cls(c_write=c_write, c_obs=c_obs)
 
     def speculation_cost(self, happening_count: int) -> float:
         if self.variable:
@@ -168,7 +168,6 @@ class RoundDeltas:
 class GateDecision:
     continue_: bool
     lhs: float
-    rhs: float
 
     @property
     def decision(self) -> str:
@@ -189,7 +188,7 @@ def continuation(
     lhs = costs.c_write + costs.speculation_cost(happening_count)
     if costs.variable:
         lhs += math.log(round_index + 2) - math.log(round_index + 1)
-    return GateDecision(continue_=lhs <= deltas.total, lhs=lhs, rhs=deltas.total)
+    return GateDecision(continue_=lhs <= deltas.total, lhs=lhs)
 
 
 def statistical_delta_new_risk(
@@ -234,9 +233,9 @@ class RedLineConfig:
             raise ParameterError(f"nu_star must be a positive finite real, got {self.nu_star}")
 
 
-def red_line_check(pkre_total: float, config: RedLineConfig) -> bool:
+def red_line_check(total: float, config: RedLineConfig) -> bool:
     """Triggered iff the PKRE total strictly exceeds the threshold."""
-    return pkre_total > config.nu_star
+    return total > config.nu_star
 
 
 def hyperanxiety_avoidance(
@@ -366,10 +365,7 @@ class RoundRecord:
     sponsored: bool
     newly_imagined: bool
     k_imagined: int
-    pkre_total: float
-    pkre_observed: float
-    pkre_imagined: float
-    pkre_variance: float
+    pkre: PKREResult
     costs: RoundCosts
     deltas: RoundDeltas
     decision: str
@@ -422,7 +418,6 @@ class _RunningPKRE:
         feed: tuple[RiskEstimate, ...],
         risk_id: str,
         estimate: RiskEstimate,
-        round_index: int,
     ) -> tuple[PKREResult, tuple[int, int] | None, tuple[int, int] | None]:
         """(PKRE, observed sums, imagined sums) once ``estimate`` is the
         latest for ``risk_id`` under ``feed``, changing nothing here."""
@@ -431,7 +426,7 @@ class _RunningPKRE:
         else:
             observed = _units(feed)
             if observed is not None:
-                compute_pkre(feed, (), round_index)  # raises on a duplicate id
+                compute_pkre(feed, ())  # raises on a duplicate id
         added = self.imagined_sums and _units((estimate,))
         if added is None:
             # a term that is not finite came or went: start again from the terms
@@ -444,16 +439,15 @@ class _RunningPKRE:
             (observed_loss, observed_var), (imagined_loss, imagined_var) = observed, imagined
             try:
                 return PKREResult(
-                    round=round_index,
-                    observed_total=observed_loss / _UNIT,
-                    imagined_total=imagined_loss / _UNIT,
+                    observed=observed_loss / _UNIT,
+                    imagined=imagined_loss / _UNIT,
                     total=(observed_loss + imagined_loss) / _UNIT,
                     variance=(observed_var + imagined_var) / _UNIT,
                 ), observed, imagined
             except OverflowError:  # past the float range: compute_pkre raises as before
                 pass
         estimates = list({**self.imagined, risk_id: estimate}.values())
-        return compute_pkre(feed, estimates, round_index), observed, imagined
+        return compute_pkre(feed, estimates), observed, imagined
 
     def ledger(self, records: tuple[RoundRecord, ...]) -> "RoundLedger":
         """The ledger of ``records``, which this state is now for."""
@@ -494,7 +488,7 @@ class RoundLedger:
         return self.records[-1].round + 1 if self.records else 1
 
     def pkre_history(self) -> list[float]:
-        return [r.pkre_total for r in self.records]
+        return [r.pkre.total for r in self.records]
 
 
 @dataclass(frozen=True)
@@ -542,8 +536,10 @@ def run_round(
         raise RoundAbortedError(
             f"underwriting failed in round {round_index}: {exc}"
         ) from exc
-    return _advance(
-        ledger,
+    state = ledger._state()
+    record = _next_record(
+        state,
+        ledger.records[-1] if ledger.records else None,
         risk_id=narrative.risk_id,
         happening_count=narrative.happening_count,
         underwriting=result,
@@ -552,11 +548,6 @@ def run_round(
         sponsored=sponsored,
         config=config,
     )
-
-
-def _advance(ledger: RoundLedger, **round_inputs) -> RoundLedger:
-    state = ledger._state()
-    record = _next_record(state, ledger.records[-1] if ledger.records else None, **round_inputs)
     return state.ledger(ledger.records + (record,))
 
 
@@ -577,9 +568,7 @@ def _next_record(
     round_index = previous.round + 1 if previous else 1
     estimate = underwriting.to_estimate(risk_id, round_index)
     newly_imagined = risk_id not in state.imagined
-    pkre, observed_sums, imagined_sums = state.pkre_after(
-        observed_feed, risk_id, estimate, round_index
-    )
+    pkre, observed_sums, imagined_sums = state.pkre_after(observed_feed, risk_id, estimate)
 
     costs = config.costs
     paid = RoundCosts(
@@ -618,10 +607,7 @@ def _next_record(
         sponsored=sponsored,
         newly_imagined=newly_imagined,
         k_imagined=len(state.imagined) + newly_imagined,
-        pkre_total=pkre.total,
-        pkre_observed=pkre.observed_total,
-        pkre_imagined=pkre.imagined_total,
-        pkre_variance=pkre.variance,
+        pkre=pkre,
         costs=paid,
         deltas=deltas,
         decision=gate.decision,
@@ -676,8 +662,6 @@ def _codec(hint):
 
 
 _encode_record, _decode_record = _codec(RoundRecord)
-# a line nests the record's pkre_<key> fields as {"pkre": {<key>: ...}}
-_PKRE_FIELDS = tuple(f.name for f in fields(RoundRecord) if f.name.startswith("pkre_"))
 
 
 def _ledger_line(record: RoundRecord, previous: RoundRecord | None) -> str:
@@ -686,7 +670,6 @@ def _ledger_line(record: RoundRecord, previous: RoundRecord | None) -> str:
     # carried line that same tuple back
     carried = previous is not None and record.observed is previous.observed
     line = _encode_record(record, ("observed",) if carried else ())
-    line["pkre"] = {name.removeprefix("pkre_"): line.pop(name) for name in _PKRE_FIELDS}
     line["schema_version"] = LEDGER_SCHEMA_VERSION
     # the tree is built here from scalar fields, so it cannot contain itself
     return json.dumps(line, sort_keys=True, check_circular=False) + "\n"
@@ -700,7 +683,6 @@ def _record_from_line(data, previous: RoundRecord | None) -> RoundRecord:
     # an int, not a bool or float: true == 1 and 2.0 == 2
     if type(version) is not int or version not in (1, LEDGER_SCHEMA_VERSION):
         raise DomainError(f"unsupported ledger schema version {version!r}")
-    data.update(("pkre_" + key, value) for key, value in dict(data.pop("pkre")).items())
     if version != 1 and "observed" not in data and previous is not None:
         # a v2 line without a feed carries the previous record's tuple over
         return _decode_record(data, observed=previous.observed)

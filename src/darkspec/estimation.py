@@ -134,7 +134,6 @@ class SeverityEstimate:
     mean: float
     variance: float          # sampling variance of the mean: s^2 / n
     sample_variance: float   # unbiased s^2 of the jump sizes themselves
-    n: int
 
 
 def estimate_severity(jump_sizes: Sequence[float]) -> SeverityEstimate:
@@ -145,7 +144,7 @@ def estimate_severity(jump_sizes: Sequence[float]) -> SeverityEstimate:
         raise NoEventsError("mean severity is undefined with no observed events")
     mean = float(np.mean(sizes))
     sample_var = float(np.var(sizes, ddof=1)) if n > 1 else 0.0
-    return SeverityEstimate(mean=mean, variance=sample_var / n, sample_variance=sample_var, n=n)
+    return SeverityEstimate(mean=mean, variance=sample_var / n, sample_variance=sample_var)
 
 
 def expected_jump_loss(estimate: RiskEstimate) -> float:
@@ -202,9 +201,8 @@ def estimate_loss_variance(estimate: RiskEstimate, *, form: str = "mgf") -> floa
 class PKREResult:
     """Additive loss totals over the observed and imagined estimate sets."""
 
-    round: int
-    observed_total: float
-    imagined_total: float
+    observed: float
+    imagined: float
     total: float
     variance: float
 
@@ -220,7 +218,6 @@ def _check_unique(estimates: Sequence[RiskEstimate], label: str) -> None:
 def compute_pkre(
     observed: Sequence[RiskEstimate],
     imagined: Sequence[RiskEstimate],
-    round_index: int,
 ) -> PKREResult:
     """Total expected jump loss and its variance over both estimate sets; each
     total is a ``math.fsum``, so it is correctly rounded whatever the grouping."""
@@ -229,9 +226,8 @@ def compute_pkre(
     observed_rates = [expected_jump_loss(est) for est in observed]
     imagined_rates = [expected_jump_loss(est) for est in imagined]
     return PKREResult(
-        round=round_index,
-        observed_total=math.fsum(observed_rates),
-        imagined_total=math.fsum(imagined_rates),
+        observed=math.fsum(observed_rates),
+        imagined=math.fsum(imagined_rates),
         total=math.fsum(observed_rates + imagined_rates),
         variance=math.fsum(estimate_loss_variance(e) for e in (*observed, *imagined)),
     )

@@ -37,7 +37,6 @@ ORACLE_BLOCK = 2**14
 class MCEstimate:
     value: float
     se: float
-    reps: int
 
 
 def _inclusion_cells(loss_rates, pis, reps: int, rng: np.random.Generator):
@@ -66,7 +65,7 @@ def bias_thinning_mc(
     counts, gaps = _inclusion_cells(loss_rates, pis, reps, np.random.default_rng(seed))
     value = float(counts @ gaps) / reps
     se = math.sqrt(float(counts @ (gaps - value) ** 2) / (reps - 1) / reps) if reps > 1 else 0.0
-    return MCEstimate(value=value, se=se, reps=reps)
+    return MCEstimate(value=value, se=se)
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ class VarianceGapMC:
     noisy_variance: float
     inflation: float          # var(noisy) - var(full)
     truncation_bias: float    # mean(noisy) - mean(full); 0 absent truncation
-    reps: int
 
 
 def _gap_blocks(jump_rates, severities, pis, noise, window, reps, seed) -> Iterator[np.ndarray]:
@@ -142,7 +140,6 @@ def variance_gap_mc(
         noisy_variance=var_noisy,
         inflation=var_noisy - var_full,
         truncation_bias=float(mean[2] - mean[0]),
-        reps=reps,
     )
 
 
@@ -175,7 +172,6 @@ def staggered_frequency_mc(
     return MCEstimate(
         value=float(np.mean(values)),
         se=float(np.std(values, ddof=1) / math.sqrt(reps)),
-        reps=reps,
     )
 
 

@@ -306,11 +306,6 @@ def aggregate(components: Sequence[LevyComponent]) -> LevyComponent:
 class MomentSummary:
     mean: float
     variance: float
-    horizon: float
-
-    def __post_init__(self):
-        if self.variance < 0.0:
-            raise ParameterError(f"variance must be >= 0, got {self.variance}")
 
 
 def theoretical_moments(component: LevyComponent, horizon: float) -> MomentSummary:
@@ -328,7 +323,7 @@ def theoretical_moments(component: LevyComponent, horizon: float) -> MomentSumma
     second = component.severity.second_moment()
     mean = component.drift * dt - component.jump_rate * dt * xi
     variance = component.diffusion**2 * dt + component.jump_rate * dt * second
-    return MomentSummary(mean=mean, variance=variance, horizon=horizon)
+    return MomentSummary(mean=mean, variance=variance)
 
 
 _PATH_CSV_HEADER = ["component_id", "path_index", "jump_time", "jump_size", "terminal_value"]

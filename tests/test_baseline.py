@@ -23,7 +23,6 @@ from darkspec import (
     StaggeredPanel,
     bias_nospec,
     delta_benefit,
-    improvement_curve,
     staggered_frequency,
     variance_gap,
     variance_gap_with_error,
@@ -71,12 +70,12 @@ class TestProfiles:
         st.integers(1, 40),
     )
     @settings(max_examples=200, deadline=None)
-    def test_improvement_curve_bounds_and_monotonicity(self, pi_1, pi_max, psi, r):
+    def test_detection_bounds_and_monotonicity(self, pi_1, pi_max, psi, r):
         profile = ImprovingDetection(pi_1=pi_1, pi_max=pi_max, psi=psi)
-        value = improvement_curve(r, profile)
+        value = profile.detection(r)
         # never exceeds pi_max, never goes below the round-one level
         assert pi_max - pi_1 <= value <= pi_max
-        assert improvement_curve(r + 1, profile) >= value
+        assert profile.detection(r + 1) >= value
 
 
 class TestBias:
@@ -298,22 +297,22 @@ class TestOracleDraws:
 class TestImprovementCurve:
     def test_round_one_is_offset_start(self):
         profile = ImprovingDetection(pi_1=0.3, pi_max=0.8, psi=0.5)
-        assert improvement_curve(1, profile) == pytest.approx(0.5)
+        assert profile.detection(1) == pytest.approx(0.5)
 
     def test_large_psi_saturates_by_round_two(self):
         profile = ImprovingDetection(pi_1=0.3, pi_max=0.8, psi=50.0)
-        assert improvement_curve(2, profile) == pytest.approx(0.8, abs=1e-12)
+        assert profile.detection(2) == pytest.approx(0.8, abs=1e-12)
 
     def test_frozen_scalar_value(self):
         # 0.8 - exp(-1) * 0.3, evaluated independently
         profile = ImprovingDetection(pi_1=0.3, pi_max=0.8, psi=0.5)
-        assert improvement_curve(3, profile) == pytest.approx(
+        assert profile.detection(3) == pytest.approx(
             0.6896361676485673, abs=1e-12
         )
 
     def test_round_below_one_rejected(self):
         with pytest.raises(DomainError):
-            improvement_curve(0, ImprovingDetection(0.3, 0.8, 0.5))
+            ImprovingDetection(0.3, 0.8, 0.5).detection(0)
 
 
 class TestDeltaBenefit:

@@ -462,7 +462,7 @@ class TestRunProcess:
         ])
         assert code == 0
         ledger = read_ledger(tmp_path / "out" / "ledger.jsonl")
-        assert ledger.records[0].pkre_total == 5.0
+        assert ledger.records[0].pkre.total == 5.0
 
     def test_invalid_narrative_aborts_before_round_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.licain"
@@ -506,8 +506,8 @@ class TestRunProcess:
             str(scenario_paths["atlanta"]),
         ]) == 0
         record = read_ledger(tmp_path / "out" / "ledger.jsonl").records[0]
-        assert record.pkre_observed == 2.0  # (3+5)/4
-        assert record.pkre_total == 7.0
+        assert record.pkre.observed == 2.0  # (3+5)/4
+        assert record.pkre.total == 7.0
 
     def test_variable_cost_mode_charges_log_happenings(self, tmp_path, scenario_paths):
         import math
@@ -722,6 +722,14 @@ class TestBadInput:
              "component.a.diffusion"),
             ("simulate", SIMULATE_MC.replace(EXPONENTIAL_A, pareto_a(0.5)), None,
              "component.a.severity_shape"),
+            # utilities mode reads none of the geometric mode's keys
+            ("stopping", "stopping.utilities = 5,3,1,-1,-3\nstopping.R_max = 31\n", None,
+             ("stopping.utilities", "stopping.R_max")),
+            ("stopping", "stopping.utilities = 5,3\nstopping.delta_initial = 10.0\n", None,
+             ("stopping.utilities", "stopping.delta_initial")),
+            ("run-process", RUN_PROCESS + "observed_csv =\n", "atlanta", "observed_csv"),
+            # relative to the config file's directory, so a directory
+            ("run-process", RUN_PROCESS + "observed_csv = .\n", "atlanta", "observed_csv"),
         ],
         ids=[
             "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
@@ -732,6 +740,8 @@ class TestBadInput:
             "simulate-jump-rate-1e9", "gap-study-jump-rate-1e9", "sigma-eps-negative",
             "pi-1.5", "stopping-c-write-negative", "run-process-c-write-negative",
             "weights-d1-negative", "diffusion-negative", "pareto-shape-0.5",
+            "utilities-with-r-max", "utilities-with-delta-initial", "observed-csv-empty",
+            "observed-csv-directory",
         ],
     )
     def test_exit_two_with_one_line(
@@ -749,7 +759,7 @@ class TestBadInput:
             path = tmp_path / "bad.licain"
             path.write_bytes(narrative)
             argv.append(str(path))
-        expect_one_error_line(capsys, argv, names)
+        expect_one_error_line(capsys, argv, *(names if isinstance(names, tuple) else (names,)))
 
     @pytest.mark.parametrize("command, config, key", [
         # a finite mean but no variance: simulate's and gap-study's formulas need one

@@ -362,7 +362,7 @@ class TestRunRound:
             [], self.config, RoundBenefits(0.0, 0.0),
         )
         record = ledger.records[0]
-        assert record.pkre_total == 5.0
+        assert record.pkre.total == 5.0
         assert record.k_imagined == 1
         assert record.newly_imagined
 
@@ -375,7 +375,7 @@ class TestRunRound:
             ledger, chain_narrative("risk-b", 2), self.underwriting(0.0, 123.0),
             [], self.config, RoundBenefits(0.0, 0.0),
         )
-        assert ledger.records[1].pkre_total == ledger.records[0].pkre_total
+        assert ledger.records[1].pkre.total == ledger.records[0].pkre.total
 
     def test_three_scripted_rounds_accumulate(self):
         script = [("risk-a", 0.5, 10.0), ("risk-b", 1.0, 2.0), ("risk-c", 0.25, 8.0)]
@@ -400,7 +400,7 @@ class TestRunRound:
         record = ledger.records[1]
         assert not record.newly_imagined
         assert record.k_imagined == 1
-        assert record.pkre_total == 10.0
+        assert record.pkre.total == 10.0
 
     def test_underwriting_failure_leaves_ledger_untouched(self):
         ledger = run_round(
@@ -540,12 +540,14 @@ class TestLedgerPersistence:
             # equal to 1 and 2 but not integers
             lambda d: {**d, "schema_version": True},
             lambda d: {**d, "schema_version": 2.0},
+            lambda d: {**d, "pkre": {k: v for k, v in d["pkre"].items() if k != "total"}},
+            lambda d: {**d, "pkre": {**d["pkre"], "round": 1}},
         ],
         ids=[
             "malformed-json", "schema-version", "missing-keys", "missing-key",
             "unknown-key", "unknown-nested-key", "list", "number", "pkre-scalar",
             "nested-list", "bad-source", "negative-window", "not-utf8", "v1-without-feed",
-            "bool-version", "float-version",
+            "bool-version", "float-version", "pkre-missing-key", "pkre-unknown-key",
         ],
     )
     def test_read_errors_name_file_and_line(self, tmp_path, edit):
@@ -703,9 +705,9 @@ class TestImaginedMap:
             assert live == loaded
             new = risk == "risk-c"
             assert (loaded.newly_imagined, loaded.k_imagined) == (new, 2 + new)
-            assert (loaded.pkre_total, loaded.pkre_observed, loaded.pkre_imagined,
-                    loaded.pkre_variance) == (live.pkre_total, live.pkre_observed,
-                                              live.pkre_imagined, live.pkre_variance)
+            assert (loaded.pkre.total, loaded.pkre.observed, loaded.pkre.imagined,
+                    loaded.pkre.variance) == (live.pkre.total, live.pkre.observed,
+                                              live.pkre.imagined, live.pkre.variance)
 
     def test_aborted_round_leaves_the_map(self):
         ledger = self.advance(RoundLedger(), "risk-a", 0.5, 10.0)
@@ -830,7 +832,7 @@ class TestRunningPkre:
                 **ledger.imagined, risk: result.to_estimate(risk, ledger.next_round)
             }
             try:
-                expected = compute_pkre(round_feed, list(expected_map.values()), ledger.next_round)
+                expected = compute_pkre(round_feed, list(expected_map.values()))
             except (ValueError, OverflowError) as exc:  # DomainError is a ValueError
                 before = (ledger.records, dict(ledger.imagined))
                 with pytest.raises(type(exc)):
@@ -842,11 +844,10 @@ class TestRunningPkre:
             ledger, feed = self.advance(ledger, step, round_feed), round_feed
             record = ledger.records[-1]
             assert list(ledger.imagined.items()) == list(expected_map.items())
-            written = (record.pkre_total, record.pkre_observed, record.pkre_imagined,
-                       record.pkre_variance)
+            written = (record.pkre.total, record.pkre.observed, record.pkre.imagined,
+                       record.pkre.variance)
             assert pkre_bits(written) == pkre_bits(
-                (expected.total, expected.observed_total, expected.imagined_total,
-                 expected.variance)
+                (expected.total, expected.observed, expected.imagined, expected.variance)
             )
         if history:
             # an older ledger, whose running state a later round has moved on
@@ -865,7 +866,7 @@ def test_a_sum_past_the_float_range_raises_what_compute_pkre_raises():
     ledger = TestRunningPkre().advance(RoundLedger(), (0, huge), ())
     estimates = [*ledger.imagined.values(), huge.to_estimate("risk-1", 2)]
     with pytest.raises(OverflowError) as expected:
-        compute_pkre((), estimates, 2)
+        compute_pkre((), estimates)
     with pytest.raises(OverflowError, match=f"^{re.escape(str(expected.value))}$"):
         TestRunningPkre().advance(ledger, (1, huge), ())
 

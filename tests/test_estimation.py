@@ -193,29 +193,28 @@ class TestRiskEstimateInvariants:
 class TestPkre:
     def test_observed_only_when_imagined_empty(self):
         observed = [estimate_from_observation("a", [2.0, 2.0], 2.0)]
-        result = compute_pkre(observed, [], round_index=1)
-        assert result.total == result.observed_total
-        assert result.imagined_total == 0.0
+        result = compute_pkre(observed, [])
+        assert result.total == result.observed
+        assert result.imagined == 0.0
 
     def test_two_plus_five(self):
         # 1*2 + 0.5*10; the arithmetic is source-agnostic
         observed = [underwritten("o", 1.0, 2.0)]
         imagined = [underwritten("i", 0.5, 10.0)]
-        result = compute_pkre(observed, imagined, round_index=2)
+        result = compute_pkre(observed, imagined)
         assert result.total == 7.0
-        assert result.round == 2
 
     def test_duplicate_component_id_rejected(self):
         ests = [underwritten("x", 1.0, 1.0), underwritten("x", 2.0, 1.0)]
         with pytest.raises(DomainError):
-            compute_pkre([], ests, 1)
+            compute_pkre([], ests)
 
     def test_same_risk_may_appear_in_both_sets(self):
         # a risk can have an observed history and an underwritten estimate;
         # uniqueness holds within each set, not across them
         observed = [estimate_from_observation("x", [2.0, 2.0], 2.0)]
         imagined = [underwritten("x", 0.5, 10.0)]
-        result = compute_pkre(observed, imagined, 1)
+        result = compute_pkre(observed, imagined)
         assert result.total == pytest.approx(2.0 + 5.0)
 
     def test_variance_totals_sum_per_component(self):
@@ -223,7 +222,7 @@ class TestPkre:
             underwritten("a", 2.0, 3.0, s2=9.0, window=10.0),
             underwritten("b", 1.0, 2.0, s2=0.0, window=1.0),
         ]
-        result = compute_pkre([], imagined, 1)
+        result = compute_pkre([], imagined)
         assert result.variance == pytest.approx(3.6 + 4.0)
         assert result.variance == math.fsum(estimate_loss_variance(e) for e in imagined)
 
@@ -236,7 +235,7 @@ class TestPkre:
         imagined = [
             underwritten(c.component_id, c.jump_rate, c.severity.mean()) for c in comps
         ]
-        result = compute_pkre([], imagined, 1)
+        result = compute_pkre([], imagined)
         total = aggregate(comps)
         horizon = 50.0
         losses = np.array(
@@ -265,9 +264,9 @@ class TestPkreAdditivity:
 
         set_a = build(first, "a")
         set_b = build(second, "b")
-        combined = compute_pkre([], set_a + set_b, 1)
-        separate_a = compute_pkre([], set_a, 1)
-        separate_b = compute_pkre([], set_b, 1)
+        combined = compute_pkre([], set_a + set_b)
+        separate_a = compute_pkre([], set_a)
+        separate_b = compute_pkre([], set_b)
         assert combined.total == separate_a.total + separate_b.total
         assert combined.variance == separate_a.variance + separate_b.variance
 
@@ -301,13 +300,12 @@ class TestPkreExactTotals:
     @settings(max_examples=200, deadline=None)
     def test_totals_equal_fsum(self, observed, imagined):
         # the ledger's PKRE bits are these correctly rounded sums
-        result = compute_pkre(observed, imagined, 3)
+        result = compute_pkre(observed, imagined)
         both = observed + imagined
-        assert result.observed_total == math.fsum(map(expected_jump_loss, observed))
-        assert result.imagined_total == math.fsum(map(expected_jump_loss, imagined))
+        assert result.observed == math.fsum(map(expected_jump_loss, observed))
+        assert result.imagined == math.fsum(map(expected_jump_loss, imagined))
         assert result.total == math.fsum(map(expected_jump_loss, both))
         assert result.variance == math.fsum(map(estimate_loss_variance, both))
-        assert result.round == 3
 
 
 class TestConsistency:
