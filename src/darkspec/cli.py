@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -141,25 +141,29 @@ def _check_expected_jumps(component, elapsed: float, reps: int, window_key: str)
         )
 
 
-def _paths_inputs(cfg: ExperimentConfig, need_variance: bool):
+def _paths_inputs(cfg: ExperimentConfig):
     """The components and horizon that simulate and estimate draw paths for,
-    each component's expected jump count checked before any draw."""
-    specs = parse_components(cfg.values, need_variance)
+    each checked before any draw: simulate's moment formulas need the severity
+    variance, and estimate divides by each window, which must not be empty."""
+    simulating = cfg.kind == "simulate"
+    specs = parse_components(cfg.values, need_variance=simulating)
     horizon = _as_float(cfg.values, "horizon")
     for spec in specs:
         component = spec.component
-        if horizon < component.commencement:
+        elapsed = horizon - component.commencement
+        if elapsed < 0.0 or (elapsed == 0.0 and not simulating):
             raise ConfigError(
                 f"keys 'horizon' and 'component.{component.component_id}.commencement': "
-                f"horizon {horizon} precedes commencement {component.commencement}"
+                f"horizon {horizon} {'precedes' if elapsed < 0.0 else 'equals'} "
+                f"commencement {component.commencement}"
             )
-        _check_expected_jumps(component, horizon - component.commencement, cfg.reps, "horizon")
+        _check_expected_jumps(component, elapsed, cfg.reps, "horizon")
     return specs, horizon
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    specs, horizon = _paths_inputs(cfg, need_variance=True)  # the terminal-value variance
+    specs, horizon = _paths_inputs(cfg)
     rows = []
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "paths.csv", "w", encoding="utf-8") as out:
@@ -208,7 +212,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 def cmd_estimate(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    specs, horizon = _paths_inputs(cfg, need_variance=False)
+    specs, horizon = _paths_inputs(cfg)
     rows = []
     estimates = []
     for spec in specs:
@@ -261,39 +265,32 @@ def cmd_gap_study(cfg: ExperimentConfig) -> int:
     block = min(cfg.reps, oracles.ORACLE_BLOCK)  # the reps the oracles hold at once
     for spec in specs:
         _check_expected_jumps(spec.component, window, block, "window")
-    study = oracles.gap_study_rows(
-        components=[spec.component for spec in specs],
-        pis=profile.pis,
-        window=window,
-        reps=cfg.reps,
-        seed=cfg.seed,
-        sigma_eps=[spec.sigma_eps for spec in specs],
-    )
+    rows = []
+    lines = [csv_line(["component_id", "pi", "bias_formula", "bias_mc", "var_gap_formula",
+                       "var_gap_mc", "abs_error", "rel_error"])]
+    for offset, (spec, pi) in enumerate(zip(specs, profile.pis)):
+        # bias: component-level thinning against (pi - 1) * rate * mean; the variance
+        # gap, var(thinned) - var(noisy): event-level thinning against
+        # (pi - 1) * rate * (mean^2 + var) / window - rate * sigma_eps^2 / window
+        component, s_eps = spec.component, spec.sigma_eps
+        xi, s2, rate = component.severity.mean(), component.severity.variance(), component.jump_rate
+        bias_formula = (pi - 1.0) * rate * xi
+        bias = oracles.bias_thinning_mc([rate * xi], [pi], cfg.reps, cfg.seed + 2 * offset)
+        var_formula = (pi - 1.0) * rate * (xi * xi + s2) / window - rate * s_eps**2 / window
+        mc = oracles.variance_gap_mc([rate], [component.severity], [pi], window, cfg.reps,
+                                     cfg.seed + 2 * offset + 1, [s_eps])
+        var_mc = mc.nospec_variance - mc.noisy_variance
+        abs_err, scale = abs(var_mc - var_formula), abs(var_formula)
+        numbers = (pi, bias_formula, bias.value, var_formula, var_mc, abs_err,
+                   abs_err / scale if scale > 0.0 else 0.0)
+        lines.append(csv_line([component.component_id, *map(repr, numbers)]))
+        for name, formula, oracle in (("bias", bias_formula, bias.value),
+                                      ("var_gap", var_formula, var_mc)):
+            rows.append(ReportRow(f"{component.component_id}.{name}", formula, oracle,
+                                  max(cfg.tolerance * abs(formula), 1e-9)))
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "gap_report.csv", "w", encoding="utf-8") as out:
-        columns = [f.name for f in fields(oracles.GapStudyRow)]
-        out.write(csv_line(columns))
-        for row in study:
-            # the id as it is, then every number as its round-trip repr
-            out.write(csv_line([row.component_id, *(repr(getattr(row, c)) for c in columns[1:])]))
-    rows = []
-    for row in study:
-        rows.append(
-            ReportRow(
-                name=f"{row.component_id}.bias",
-                formula_value=row.bias_formula,
-                oracle_value=row.bias_mc,
-                tolerance=max(cfg.tolerance * abs(row.bias_formula), 1e-9),
-            )
-        )
-        rows.append(
-            ReportRow(
-                name=f"{row.component_id}.var_gap",
-                formula_value=row.var_gap_formula,
-                oracle_value=row.var_gap_mc,
-                tolerance=max(cfg.tolerance * abs(row.var_gap_formula), 1e-9),
-            )
-        )
+        out.writelines(lines)  # the id as it is, then every number as its round-trip repr
     report = Report(rows=rows, seed=cfg.seed, duration=time.perf_counter() - start)
     return _write_report(report, cfg, "gap_summary.csv", "gap-study")
 

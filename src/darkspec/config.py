@@ -3,7 +3,8 @@
 One `key = value` pair per line, '#' comments. Command-line flags override
 file values. Components are declared under `component.<id>.<field>`, engine
 settings under `cost.*`, `quality.*`, `weights.*`, `redline.*`, and
-`stopping.*`, scripted rounds under `round.<n>.<field>`.
+`stopping.*`, scripted rounds under `round.<n>.<field>`. A key outside that
+grammar is an error, so a misspelt key cannot fall back to a default.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ def load_config_file(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{line_no}: empty key")
         if key in values:
             raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
+        if not _known_key(key):
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
         values[key] = value
     return values
 
@@ -135,6 +138,32 @@ _SEVERITIES = {
     "pareto": (Pareto, ("scale", "shape")),
     "degenerate": (Degenerate, ("value",)),
 }
+
+
+# the config grammar: one table for every command, since one file may hold the
+# keys of several; component.<id>.* and round.<n>.* fields follow the id
+_TOP_KEYS = {"seed", "reps", "out", "tolerance", "horizon", "window", "observed_csv"}
+_FIELDS = {
+    "component": {
+        "drift", "diffusion", "jump_rate", "commencement", "pi", "sigma_eps",
+        "severity", "severity_mean",
+        *(f"severity_{name}" for _, names in _SEVERITIES.values() for name in names),
+    },
+    "round": {"lambda_hat", "xi_hat", "severity_var", "window", "mitigation", "option",
+              "sponsored"},
+    "cost": {"variable", "c_write", "c_spec", "c_obs"},
+    "weights": {"D1", "D2", "psi_shape", "phi"},
+    "quality": {"sigma2_max", "sigma2_min", "eta"},
+    "redline": {"nu_star"},
+    "stopping": {"rho", "utilities", "R_max", "delta_initial", "delta_decay"},
+}
+
+
+def _known_key(key: str) -> bool:
+    section, _, name = key.partition(".")
+    if section in ("component", "round"):
+        _, _, name = name.partition(".")
+    return key in _TOP_KEYS or name in _FIELDS.get(section, ())
 
 
 def _severity_from(

@@ -12,8 +12,8 @@ Two thinning mechanisms, matching what each formula actually describes:
 
 Measurement error adds mean-zero Normal noise to each simulated jump,
 truncated below so sizes stay nonnegative. The induced truncation bias is
-returned as ``VarianceGapMC.truncation_bias``, but ``gap_study_rows`` drops
-it and the variance-gap formula's noise term ignores the truncation, so no
+returned as ``VarianceGapMC.truncation_bias``, but ``gap-study`` drops it
+and the variance-gap formula's noise term ignores the truncation, so no
 report shows it yet.
 """
 
@@ -26,7 +26,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .process import LevyComponent
 from .severity import SeverityDistribution
 
 # reps per variance-oracle block: a block's arrays are this long whatever reps is
@@ -174,63 +173,3 @@ def staggered_frequency_mc(
         se=float(np.std(values, ddof=1) / math.sqrt(reps)),
     )
 
-
-@dataclass(frozen=True)
-class GapStudyRow:
-    """One line of the formula-vs-oracle gap report."""
-
-    component_id: str
-    pi: float
-    bias_formula: float
-    bias_mc: float
-    var_gap_formula: float
-    var_gap_mc: float
-    abs_error: float   # on the variance gap
-    rel_error: float
-
-
-def gap_study_rows(
-    components: Sequence[LevyComponent],
-    pis: Sequence[float],
-    window: float,
-    reps: int,
-    seed: int,
-    sigma_eps: Sequence[float],
-) -> list[GapStudyRow]:
-    """Per-component formula-vs-Monte-Carlo comparison rows.
-
-    Bias uses component-level thinning against (pi - 1) * rate * mean;
-    the variance gap, var(thinned) - var(noisy), uses event-level thinning
-    against (pi - 1) * rate * (mean^2 + var) / window - rate * sigma_eps^2 /
-    window, both per component. sigma_eps = 0 draws no noise, so the noisy
-    sums are the full ones and the row is the plain variance gap.
-    """
-    if len(pis) != len(components) or len(sigma_eps) != len(components):
-        raise DomainError("pis and sigma_eps must align with components")
-    rows = []
-    for offset, (comp, pi, s_eps) in enumerate(zip(components, pis, sigma_eps)):
-        xi = comp.severity.mean()
-        s2 = comp.severity.variance()
-        rate = comp.jump_rate
-        bias_formula = (pi - 1.0) * rate * xi
-        bias = bias_thinning_mc([rate * xi], [pi], reps, seed + 2 * offset)
-        var_formula = (pi - 1.0) * rate * (xi * xi + s2) / window - rate * s_eps**2 / window
-        mc = variance_gap_mc(
-            [rate], [comp.severity], [pi], window, reps, seed + 2 * offset + 1, [s_eps]
-        )
-        var_mc = mc.nospec_variance - mc.noisy_variance
-        abs_err = abs(var_mc - var_formula)
-        scale = abs(var_formula)
-        rows.append(
-            GapStudyRow(
-                component_id=comp.component_id,
-                pi=pi,
-                bias_formula=bias_formula,
-                bias_mc=bias.value,
-                var_gap_formula=var_formula,
-                var_gap_mc=var_mc,
-                abs_error=abs_err,
-                rel_error=abs_err / scale if scale > 0.0 else 0.0,
-            )
-        )
-    return rows

@@ -23,6 +23,7 @@ LEDGER_V1 = REPO_ROOT / "tests" / "data" / "ledger_v1.jsonl"
 LEDGER_V2 = REPO_ROOT / "tests" / "data" / "ledger_v2.jsonl"
 LEDGER_EXAMPLE = REPO_ROOT / "tests" / "data" / "ledger_example.jsonl"
 STOPPING_SCENARIO = REPO_ROOT / "scenarios" / "stopping.cfg"
+GAP_SCENARIO = REPO_ROOT / "scenarios" / "gap.cfg"
 
 
 def write_config(path, text):
@@ -31,7 +32,6 @@ def write_config(path, text):
 
 
 SIMULATE_DETERMINISTIC = """
-experiment = simulate
 horizon = 5.0
 component.a.drift = 1.0
 component.a.diffusion = 0.0
@@ -98,6 +98,10 @@ component.b.severity_scale = 1.0
 component.b.severity_shape = 3.0
 component.b.commencement = 2.0
 """
+
+# scenarios/simulate.cfg with component b commencing at the horizon: an empty window
+EMPTY_WINDOW = (REPO_ROOT / "scenarios" / "simulate.cfg").read_text(encoding="utf-8").replace(
+    "horizon = 8.0", "horizon = 2.0")
 
 STOPPING_GEOMETRIC = """
 cost.c_write = 1.0
@@ -388,6 +392,12 @@ class TestGapStudy:
         assert "[FAIL] a.var_gap: formula=-inf" in out
         assert code == 1
 
+    def test_scenario_matches_the_fixtures(self, tmp_path):
+        assert main(["gap-study", "--config", str(GAP_SCENARIO), "--out", str(tmp_path)]) == 0
+        for name in ("gap_report.csv", "gap_summary.csv"):
+            fixture = REPO_ROOT / "tests" / "data" / "gap_study" / name
+            assert (tmp_path / name).read_bytes() == fixture.read_bytes()
+
     def test_malformed_pi_fails_before_simulation(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", GAP_BAD_PI)
         code = main([
@@ -598,6 +608,14 @@ class TestReadmeExample:
         write_ledger(replay_ledger(read_ledger(fixture), engine), tmp_path / "ledger.jsonl")
         assert (tmp_path / "ledger.jsonl").read_bytes() == fixture.read_bytes()
 
+    def test_config_example_loads(self, tmp_path):
+        # one file mixes the keys of several commands, and every one is known
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        values = load_config_file(write_config(tmp_path / "c.cfg", example))
+        assert {"horizon", "component.a.sigma_eps", "round.1.sponsored", "observed_csv",
+                "stopping.utilities"} <= values.keys()
+
     def test_v1_and_v2_fixtures_hold_the_same_ledger(self):
         assert read_ledger(LEDGER_V1) == read_ledger(LEDGER_V2)
 
@@ -730,6 +748,11 @@ class TestBadInput:
             ("run-process", RUN_PROCESS + "observed_csv =\n", "atlanta", "observed_csv"),
             # relative to the config file's directory, so a directory
             ("run-process", RUN_PROCESS + "observed_csv = .\n", "atlanta", "observed_csv"),
+            # a key outside the config grammar, not read and so not silently ignored
+            ("stopping", STOPPING_GEOMETRIC + "stopping.rhoo = 0.5\n", None,
+             ("c.cfg:8", "unknown key 'stopping.rhoo'")),
+            ("simulate", SIMULATE_MC + "component.a.category = exponential\n", None,
+             ("c.cfg:8", "unknown key 'component.a.category'")),
         ],
         ids=[
             "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
@@ -741,7 +764,7 @@ class TestBadInput:
             "pi-1.5", "stopping-c-write-negative", "run-process-c-write-negative",
             "weights-d1-negative", "diffusion-negative", "pareto-shape-0.5",
             "utilities-with-r-max", "utilities-with-delta-initial", "observed-csv-empty",
-            "observed-csv-directory",
+            "observed-csv-directory", "unknown-stopping-key", "unknown-component-field",
         ],
     )
     def test_exit_two_with_one_line(
@@ -775,9 +798,10 @@ class TestBadInput:
         ("simulate", SIMULATE_MC + "seed = -1\n", "seed"),
         ("gap-study", GAP_FULL_DETECTION + "seed = -1\n", "seed"),
         ("gap-study", GAP_FULL_DETECTION + "reps = 1\n", "'reps'"),
+        ("estimate", EMPTY_WINDOW, "keys 'horizon' and 'component.b.commencement'"),
     ], ids=["simulate-variance", "gap-study-variance", "round-lambda-hat", "round-window",
             "simulate-commencement", "simulate-seed-negative", "gap-study-seed-negative",
-            "gap-study-reps-1"])
+            "gap-study-reps-1", "estimate-empty-window"])
     def test_rejected_before_any_draw_or_round(self, tmp_path, capsys, monkeypatch,
                                                scenario_paths, command, config, key):
         import darkspec.cli as cli
@@ -786,7 +810,8 @@ class TestBadInput:
             raise AssertionError("drew or ran a round before the check")
 
         monkeypatch.setattr(cli, "sample_blocks", reached)
-        monkeypatch.setattr(cli.oracles, "gap_study_rows", reached)
+        monkeypatch.setattr(cli.oracles, "bias_thinning_mc", reached)
+        monkeypatch.setattr(cli.oracles, "variance_gap_mc", reached)
         monkeypatch.setattr(cli, "run_round", reached)
         argv = [command, "--config", write_config(tmp_path / "c.cfg", config),
                 "--out", str(tmp_path / "out")]
@@ -797,6 +822,10 @@ class TestBadInput:
         assert captured.out == ""  # no round line, no report
         assert key in captured.err and len(captured.err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    def test_simulate_draws_an_empty_window(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", EMPTY_WINDOW)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     def test_estimate_needs_no_severity_variance(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", SIMULATE_MC.replace(EXPONENTIAL_A, pareto_a(1.5)))
