@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Sequence
 
-import numpy as np
-
 from . import oracles
 from .config import (
     ExperimentConfig,
@@ -144,7 +142,8 @@ def _check_expected_jumps(component, elapsed: float, reps: int, window_key: str)
 def _paths_inputs(cfg: ExperimentConfig):
     """The components and horizon that simulate and estimate draw paths for,
     each checked before any draw: simulate's moment formulas need the severity
-    variance, and estimate divides by each window, which must not be empty."""
+    variance, and estimate divides by each window pooled over the reps, which
+    must be neither empty nor past the largest float."""
     simulating = cfg.kind == "simulate"
     specs = parse_components(cfg.values, need_variance=simulating)
     horizon = _as_float(cfg.values, "horizon")
@@ -157,11 +156,17 @@ def _paths_inputs(cfg: ExperimentConfig):
                 f"horizon {horizon} {'precedes' if elapsed < 0.0 else 'equals'} "
                 f"commencement {component.commencement}"
             )
+        if not simulating and not cfg.reps * elapsed < math.inf:
+            raise ConfigError(
+                f"keys 'horizon' and 'component.{component.component_id}.commencement': "
+                f"the window pooled over the reps, {cfg.reps} x {elapsed}, is not finite"
+            )
         _check_expected_jumps(component, elapsed, cfg.reps, "horizon")
     return specs, horizon
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
+    import numpy as np
     start = time.perf_counter()
     specs, horizon = _paths_inputs(cfg)
     rows = []
@@ -211,6 +216,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_estimate(cfg: ExperimentConfig) -> int:
+    import numpy as np
     start = time.perf_counter()
     specs, horizon = _paths_inputs(cfg)
     rows = []

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Sequence
 
-import numpy as np
-
 from .errors import DomainError, NoEventsError, ParameterError
 from .process import csv_line
 
@@ -84,6 +82,7 @@ def estimate_from_observation(
     component_id: str, jump_sizes: Sequence[float], window: float
 ) -> RiskEstimate:
     """Build an observed-history estimate from one window of jump data."""
+    import numpy as np
     if window <= 0.0:
         raise DomainError(f"window must be > 0, got {window}")
     sizes = np.asarray(jump_sizes, dtype=float)
@@ -138,6 +137,7 @@ class SeverityEstimate:
 
 def estimate_severity(jump_sizes: Sequence[float]) -> SeverityEstimate:
     """Sample mean of jump sizes; undefined (not zero) on an empty sample."""
+    import numpy as np
     sizes = np.asarray(jump_sizes, dtype=float)
     n = len(sizes)
     if n == 0:

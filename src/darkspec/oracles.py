@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DomainError
 from .severity import SeverityDistribution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # reps per variance-oracle block: a block's arrays are this long whatever reps is
 ORACLE_BLOCK = 2**14
@@ -40,6 +41,7 @@ class MCEstimate:
 
 def _inclusion_cells(loss_rates, pis, reps: int, rng: np.random.Generator):
     """Counts and gaps of the nonempty inclusion patterns: Binomial(cell, pi_k) splits."""
+    import numpy as np
     counts, gaps = np.array([reps], dtype=np.int64), np.zeros(1)
     for rate, pi in zip(loss_rates, pis):
         kept = rng.binomial(counts, pi)
@@ -55,6 +57,7 @@ def bias_thinning_mc(
     seed: int,
 ) -> MCEstimate:
     """Average gap (nospec - full) when each component is dropped with prob 1 - pi."""
+    import numpy as np
     if len(loss_rates) != len(pis):
         raise DomainError("loss_rates and pis must align")
     if reps < 1:
@@ -81,6 +84,7 @@ class VarianceGapMC:
 def _gap_blocks(jump_rates, severities, pis, noise, window, reps, seed) -> Iterator[np.ndarray]:
     """Per-unit full, thinned and noisy loss as one (3, n) array per block of
     ORACLE_BLOCK reps; component k's block b draws from the seed [seed, k, b]."""
+    import numpy as np
     for b, first in enumerate(range(0, reps, ORACLE_BLOCK)):
         n = min(ORACLE_BLOCK, reps - first)
         sums = np.zeros((3, n))
@@ -112,6 +116,7 @@ def variance_gap_mc(
     noise. sigma_eps = 0 leaves the noisy sums bit-identical to the full
     ones, so the zero-noise run reproduces the plain gap exactly.
     """
+    import numpy as np
     k = len(jump_rates)
     if len(severities) != k or len(pis) != k:
         raise DomainError("jump_rates, severities and pis must align")
@@ -154,6 +159,7 @@ def staggered_frequency_mc(
     Poisson counts over each remaining duration, and evaluates
     sum_k N_k / duration_k; unbiased for the summed true rates.
     """
+    import numpy as np
     k = len(jump_rates)
     if k < 1:
         raise DomainError("need at least one component")

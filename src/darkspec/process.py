@@ -9,6 +9,9 @@ in any order or in parallel. :func:`simulate_block` draws a block of paths
 from one generator, :func:`sample_path` is its one-path case, and
 :func:`sample_blocks` is the one stream of n paths under a root seed, its
 blocks seeded by :func:`derive_seed` so that they are order-independent.
+
+Numpy is imported inside the functions that use it, never at module level,
+here as in every darkspec module, so commands that draw nothing start without it.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import IO, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import DomainError, ParameterError
 from .severity import Mixture, SeverityDistribution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RiskCategory(Enum):
@@ -87,6 +91,7 @@ class PathSample:
     terminal_value: float
 
     def __post_init__(self):
+        import numpy as np
         if len(self.jump_times) != len(self.jump_sizes):
             raise ParameterError("jump_times and jump_sizes must have equal length")
         times = np.asarray(self.jump_times)
@@ -100,6 +105,7 @@ class PathSample:
     def reconstruct_terminal(self, component: LevyComponent) -> float:
         """Recompute the terminal value from stored fields; must equal
         ``terminal_value`` bit for bit."""
+        import numpy as np
         sizes = np.asarray(self.jump_sizes, dtype=float)
         terminals = _terminal_values(
             component.drift,
@@ -119,6 +125,7 @@ def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     the same whether it is reduced alone or inside a block, which ``np.sum``
     (summing in another order) does not match bit for bit.
     """
+    import numpy as np
     sums = np.zeros(len(counts))
     nonempty = counts > 0
     if nonempty.any():
@@ -143,6 +150,7 @@ def _terminal_values(
 def derive_seed(root_seed: int, component_id: str, block_index: int) -> int:
     """Deterministic seed of block ``block_index`` of a component's
     :func:`sample_blocks` stream under one experiment root seed."""
+    import numpy as np
     if root_seed < 0 or block_index < 0:
         raise DomainError("root_seed and block_index must be nonnegative")
     digest = hashlib.sha256(component_id.encode("utf-8")).digest()
@@ -167,6 +175,7 @@ class PathBlock:
 
     def paths(self) -> list[PathSample]:
         """One :class:`PathSample` per path, its jump arrays views into the block."""
+        import numpy as np
         ends = np.cumsum(self.counts).tolist()
         starts = [0, *ends[:-1]]
         return [
@@ -195,6 +204,7 @@ def simulate_block(
     i.i.d. from the severity distribution. Equal arguments give bit-identical
     blocks.
     """
+    import numpy as np
     if horizon < component.commencement:
         raise DomainError(
             f"horizon {horizon} precedes commencement {component.commencement}"
@@ -355,6 +365,7 @@ def write_paths_csv(paths: Iterable[PathSample], out: IO[str]) -> None:
     cells are the ``repr`` of the Python float, which round-trips exactly.
     Each path's rows go out in one ``out.write``.
     """
+    import numpy as np
     out.write(csv_line(_PATH_CSV_HEADER))
     quoted_ids: dict[str, str] = {}
     for index, path in enumerate(paths):

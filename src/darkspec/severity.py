@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError, VarianceUndefinedError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SeverityDistribution:
@@ -127,6 +129,7 @@ class Degenerate(SeverityDistribution):
         return 0.0
 
     def sample(self, rng, n):
+        import numpy as np
         return np.full(n, self.value)
 
 
@@ -164,6 +167,7 @@ class Mixture(SeverityDistribution):
         return self.second_moment() - m * m
 
     def sample(self, rng, n):
+        import numpy as np
         out = np.empty(n)
         picks = rng.choice(len(self.components), size=n, p=np.asarray(self.weights))
         for i, comp in enumerate(self.components):

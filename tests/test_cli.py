@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -627,6 +630,54 @@ class TestReadmeExample:
         assert replay_ledger(persisted, engine) == persisted
 
 
+def run_python(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter at the repository root."""
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
+README_ROUNDS = """
+from darkspec.cli import main
+narratives = ["scenarios/atlanta.licain", "scenarios/bioweapon.licain"]
+assert main(["narrative-check", *narratives]) == 0
+assert main(["run-process", "--config", "scenarios/run.cfg", "--out", OUT, *narratives]) == 0
+assert main(["stopping", "--config", "scenarios/stopping.cfg", "--out", OUT]) == 0
+"""
+
+
+class TestNumpyFreeStart:
+    """narrative-check, run-process, stopping and ledger replay draw no number,
+    so they run without numpy: only the functions that compute with it import it."""
+
+    def test_package_imports_leave_numpy_out(self):
+        code = ("import sys, darkspec, darkspec.cli, darkspec.engine, darkspec.narrative\n"
+                "print('numpy' in sys.modules)")
+        assert run_python(code) == "False\n"
+
+    def test_round_ledger_commands_leave_numpy_out_and_simulate_loads_it(self, tmp_path):
+        code = f"import sys\nOUT = {str(tmp_path)!r}\n" + README_ROUNDS + """
+from darkspec.config import engine_config, load_config_file
+from darkspec.engine import read_ledger, replay_ledger
+persisted = read_ledger(OUT + "/ledger.jsonl")
+assert replay_ledger(persisted, engine_config(load_config_file("scenarios/run.cfg"))) == persisted
+before = "numpy" in sys.modules
+main(["simulate", "--config", "scenarios/simulate.cfg", "--reps", "10", "--out", OUT])
+print(before, "numpy" in sys.modules)
+"""
+        assert run_python(code).splitlines()[-1] == "False True"
+
+    def test_blocked_numpy_writes_the_same_bytes(self, tmp_path):
+        code = f"import sys\nsys.modules['numpy'] = None\nOUT = {str(tmp_path)!r}\n" + README_ROUNDS
+        run_python(code)
+        assert (tmp_path / "ledger.jsonl").read_bytes() == LEDGER_EXAMPLE.read_bytes()
+        for name in ("stopping.csv", "stopping_report.csv"):
+            fixture = REPO_ROOT / "tests" / "data" / "stopping_geometric" / name
+            assert (tmp_path / name).read_bytes() == fixture.read_bytes()
+
+
 class TestStopping:
     def test_explicit_utilities(self, tmp_path, capsys):
         cfg = write_config(
@@ -799,9 +850,13 @@ class TestBadInput:
         ("gap-study", GAP_FULL_DETECTION + "seed = -1\n", "seed"),
         ("gap-study", GAP_FULL_DETECTION + "reps = 1\n", "'reps'"),
         ("estimate", EMPTY_WINDOW, "keys 'horizon' and 'component.b.commencement'"),
+        # 3 x 1e308 overflows: estimates.csv would hold a window of inf
+        ("estimate", SIMULATE_MC.replace("horizon = 50.0", "horizon = 1e308")
+         .replace("jump_rate = 2.0", "jump_rate = 0.0") + "reps = 3\n",
+         "keys 'horizon' and 'component.a.commencement'"),
     ], ids=["simulate-variance", "gap-study-variance", "round-lambda-hat", "round-window",
             "simulate-commencement", "simulate-seed-negative", "gap-study-seed-negative",
-            "gap-study-reps-1", "estimate-empty-window"])
+            "gap-study-reps-1", "estimate-empty-window", "estimate-window-overflow"])
     def test_rejected_before_any_draw_or_round(self, tmp_path, capsys, monkeypatch,
                                                scenario_paths, command, config, key):
         import darkspec.cli as cli
