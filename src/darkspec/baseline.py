@@ -171,6 +171,8 @@ class StaggeredPanel:
             raise DomainError("panel needs at least one component")
         if len(self.event_counts) != k or len(self.jump_sizes) != k:
             raise DomainError("panel fields must have equal length")
+        if not all(map(math.isfinite, (self.horizon, *self.commencements))):
+            raise DomainError("horizon and commencements must be finite")
         ordered = sorted(self.commencements)
         if ordered[0] != 0.0:
             raise DomainError("earliest commencement must be exactly 0")
@@ -189,7 +191,4 @@ class StaggeredPanel:
 
 def staggered_frequency(panel: StaggeredPanel) -> float:
     """Total arrival rate of a staggered panel: sum over k of N_k / duration_k."""
-    durations = panel.durations
-    if any(d <= 0.0 for d in durations):
-        raise DomainError("all durations must be > 0")
-    return math.fsum(n / d for n, d in zip(panel.event_counts, durations))
+    return math.fsum(n / d for n, d in zip(panel.event_counts, panel.durations))

@@ -74,46 +74,37 @@ class ReportRow:
 _REPORT_VALUES = ("formula_value", "oracle_value", "abs_error", "rel_error", "tolerance")
 
 
-@dataclass
-class Report:
-    rows: list[ReportRow]
-    seed: int
-    duration: float
-
-    @property
-    def all_pass(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-    def write_csv(self, out: IO[str], long_format: bool = False) -> None:
-        """One row per check (wide), or one ``name,field,value`` row per cell (long)."""
-        columns = (*_REPORT_VALUES, "pass")
-        out.write(csv_line(["name", "field", "value"] if long_format else ["name", *columns]))
-        for row in self.rows:
-            cells = [repr(getattr(row, c)) for c in _REPORT_VALUES]
-            cells.append(str(row.passed).lower())
-            if long_format:
-                out.writelines(csv_line([row.name, c, cell]) for c, cell in zip(columns, cells))
-            else:
-                out.write(csv_line([row.name, *cells]))
-
-    def print_summary(self, title: str) -> None:
-        print(f"{title} (seed={self.seed}, duration={self.duration:.2f}s)")
-        for row in self.rows:
-            status = "PASS" if row.passed else "FAIL"
-            print(
-                f"  [{status}] {row.name}: formula={row.formula_value:.6g} "
-                f"oracle={row.oracle_value:.6g} abs_err={row.abs_error:.3g} "
-                f"tol={row.tolerance:.3g}"
-            )
-        print("  overall:", "PASS" if self.all_pass else "FAIL")
+def write_report_csv(rows: Sequence[ReportRow], out: IO[str], long_format: bool) -> None:
+    """One row per check (wide), or one ``name,field,value`` row per cell (long)."""
+    columns = (*_REPORT_VALUES, "pass")
+    out.write(csv_line(["name", "field", "value"] if long_format else ["name", *columns]))
+    for row in rows:
+        cells = [repr(getattr(row, c)) for c in _REPORT_VALUES]
+        cells.append(str(row.passed).lower())
+        if long_format:
+            out.writelines(csv_line([row.name, c, cell]) for c, cell in zip(columns, cells))
+        else:
+            out.write(csv_line([row.name, *cells]))
 
 
-def _write_report(report: Report, cfg: ExperimentConfig, filename: str, title: str) -> int:
+def _write_report(
+    rows: Sequence[ReportRow], cfg: ExperimentConfig, start: float, filename: str, title: str
+) -> int:
+    """Write the report CSV, print its summary, and return the exit code."""
+    duration = time.perf_counter() - start
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / filename, "w", encoding="utf-8") as out:
-        report.write_csv(out, long_format=cfg.long_format)
-    report.print_summary(title)
-    return 0 if report.all_pass else 1
+        write_report_csv(rows, out, cfg.long_format)
+    print(f"{title} (seed={cfg.seed}, duration={duration:.2f}s)")
+    for row in rows:
+        print(
+            f"  [{'PASS' if row.passed else 'FAIL'}] {row.name}: "
+            f"formula={row.formula_value:.6g} oracle={row.oracle_value:.6g} "
+            f"abs_err={row.abs_error:.3g} tol={row.tolerance:.3g}"
+        )
+    all_pass = all(row.passed for row in rows)
+    print("  overall:", "PASS" if all_pass else "FAIL")
+    return 0 if all_pass else 1
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +198,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                     tolerance=cfg.tolerance * abs(moments.variance),
                 )
             )
-    report = Report(rows=rows, seed=cfg.seed, duration=time.perf_counter() - start)
-    return _write_report(report, cfg, "moment_report.csv", "simulate")
+    return _write_report(rows, cfg, start, "moment_report.csv", "simulate")
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +241,7 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "estimates.csv", "w", encoding="utf-8") as out:
         write_estimates_csv(estimates, out)
-    report = Report(rows=rows, seed=cfg.seed, duration=time.perf_counter() - start)
-    return _write_report(report, cfg, "estimate_report.csv", "estimate")
+    return _write_report(rows, cfg, start, "estimate_report.csv", "estimate")
 
 
 # ---------------------------------------------------------------------------
@@ -297,30 +286,31 @@ def cmd_gap_study(cfg: ExperimentConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "gap_report.csv", "w", encoding="utf-8") as out:
         out.writelines(lines)  # the id as it is, then every number as its round-trip repr
-    report = Report(rows=rows, seed=cfg.seed, duration=time.perf_counter() - start)
-    return _write_report(report, cfg, "gap_summary.csv", "gap-study")
+    return _write_report(rows, cfg, start, "gap_summary.csv", "gap-study")
 
 
 # ---------------------------------------------------------------------------
 # narrative check
 
 
-def _read_narrative(name: str) -> str:
+def _load_narrative(name: str):
+    """Read, parse and validate one narrative file; a file that is not UTF-8
+    or does not parse is a ConfigError that names it."""
     try:
-        return Path(name).read_text(encoding="utf-8")
+        narrative = parse_narrative(Path(name).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(
             f"narrative file {name} is not UTF-8: {exc.reason} at byte {exc.start}"
         ) from exc
+    except NarrativeSyntaxError as exc:
+        raise ConfigError(f"narrative file {name} does not parse: {exc}") from exc
+    return narrative, validate(narrative)
 
 
 def cmd_narrative_check(cfg: ExperimentConfig) -> int:
-    if not cfg.files:
-        raise ConfigError("narrative-check needs at least one narrative file")
     any_violations = False
     for name in cfg.files:
-        narrative = parse_narrative(_read_narrative(name))
-        report = validate(narrative)
+        narrative, report = _load_narrative(name)
         if report.ok:
             print(
                 f"{name}: ok (risk={narrative.risk_id}, "
@@ -339,12 +329,9 @@ def cmd_narrative_check(cfg: ExperimentConfig) -> int:
 
 
 def cmd_run_process(cfg: ExperimentConfig) -> int:
-    if not cfg.files:
-        raise ConfigError("run-process needs at least one narrative file")
     narratives = []
     for name in cfg.files:
-        narrative = parse_narrative(_read_narrative(name))
-        report = validate(narrative)
+        narrative, report = _load_narrative(name)
         if not report.ok:
             # abort before round 1, listing every violation
             lines = "; ".join(f"[{v.code}] {v.message}" for v in report.violations)
@@ -459,8 +446,7 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
                 tolerance=0.0,
             )
         )
-    report = Report(rows=rows, seed=cfg.seed, duration=time.perf_counter() - start)
-    return _write_report(report, cfg, "stopping_report.csv", "stopping")
+    return _write_report(rows, cfg, start, "stopping_report.csv", "stopping")
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sub = subparsers.add_parser(name, parents=[shared])
-        sub.add_argument("files", nargs="*", help="narrative files (where relevant)")
+        if name in ("narrative-check", "run-process"):
+            sub.add_argument("files", nargs="+", help="narrative files")
     return parser
 
 
@@ -505,7 +492,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = resolve_config(
             kind=args.command,
             config_path=args.config,
-            files=tuple(args.files),
+            files=tuple(getattr(args, "files", ())),
             seed=args.seed,
             reps=args.reps,
             out=args.out,
@@ -513,9 +500,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             long_format=args.long,
         )
         return _COMMANDS[args.command](cfg)
-    except NarrativeSyntaxError as exc:
-        print(f"error: narrative parse failure: {exc}", file=sys.stderr)
-        return 2
     except (DarkspecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -174,7 +174,7 @@ def _severity_from(
         raise ConfigError(f"missing required key '{prefix}.severity'")
     family = family.lower()
     if family not in _SEVERITIES:
-        raise ConfigError(f"unknown severity family {family!r} for {prefix}")
+        raise ConfigError(f"key '{prefix}.severity': unknown severity family {family!r}")
     build, fields = _SEVERITIES[family]
     if family == "exponential" and f"{prefix}.severity_mean" in values:
         build, fields = Exponential.from_mean, ("mean",)
@@ -257,7 +257,7 @@ def engine_config(values: Mapping[str, str]) -> EngineConfig:
     try:
         shape = PsiShape(shape_text)
     except ValueError:
-        raise ConfigError(f"unknown psi_shape {shape_text!r}")
+        raise ConfigError(f"key 'weights.psi_shape': unknown psi_shape {shape_text!r}")
     with naming_keys("weights.D1", "weights.D2"):
         weights = LossWeights(
             d1=_as_float(values, "weights.D1", 1.0),

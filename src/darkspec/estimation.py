@@ -267,27 +267,31 @@ def _cell(row: dict, column: str, parse):
 
 def read_estimates_csv(source: IO[str]) -> list[RiskEstimate]:
     """Parse what :func:`write_estimates_csv` writes; a missing column, a bad
-    cell or an inconsistent estimate raises DomainError naming its line."""
+    cell, an inconsistent estimate or a repeated component id raises
+    DomainError naming its line."""
     reader = csv.DictReader(source)
     missing = [c for c in _ESTIMATE_CSV_HEADER if c not in (reader.fieldnames or ())]
     if missing:
         raise DomainError(f"line 1: missing column(s) {', '.join(missing)}")
-    estimates = []
+    estimates = {}
     for row in reader:
         try:
-            estimates.append(
-                RiskEstimate(
-                    component_id=row["component_id"],
-                    lambda_hat=_cell(row, "lambda_hat", float),
-                    xi_hat=_cell(row, "xi_hat", float) if row["xi_hat"] else None,
-                    severity_variance=_cell(row, "severity_var", float),
-                    window=_cell(row, "window", float),
-                    n_events=_cell(row, "n_events", int),
-                    source=_cell(row, "source", EstimateSource),
-                    round=_cell(row, "round", int) if row["round"] else None,
-                    total_loss=None,
-                )
+            estimate = RiskEstimate(
+                component_id=row["component_id"],
+                lambda_hat=_cell(row, "lambda_hat", float),
+                xi_hat=_cell(row, "xi_hat", float) if row["xi_hat"] else None,
+                severity_variance=_cell(row, "severity_var", float),
+                window=_cell(row, "window", float),
+                n_events=_cell(row, "n_events", int),
+                source=_cell(row, "source", EstimateSource),
+                round=_cell(row, "round", int) if row["round"] else None,
+                total_loss=None,
             )
         except ValueError as exc:
             raise DomainError(f"line {reader.line_num}: {exc}") from exc
-    return estimates
+        if estimate.component_id in estimates:
+            raise DomainError(
+                f"line {reader.line_num}: duplicate component id {estimate.component_id!r}"
+            )
+        estimates[estimate.component_id] = estimate
+    return list(estimates.values())

@@ -396,6 +396,14 @@ class TestStaggered:
         with pytest.raises(DomainError):
             StaggeredPanel((0.0, 5.0), 4.0, (0, 0), ((), ()))  # inside horizon
 
+    @pytest.mark.parametrize("commencements, horizon", [
+        ((0.0,), float("nan")), ((0.0,), float("inf")), ((0.0, float("nan")), 4.0),
+    ], ids=["horizon-nan", "horizon-inf", "commencement-nan"])
+    def test_non_finite_times_rejected(self, commencements, horizon):
+        counts, sizes = (0,) * len(commencements), ((),) * len(commencements)
+        with pytest.raises(DomainError, match="finite"):
+            StaggeredPanel(commencements, horizon, counts, sizes)
+
     def test_monte_carlo_recovers_summed_rates(self):
         rates = [0.5, 1.0, 1.5, 2.0, 0.25]
         mc = staggered_frequency_mc(rates, horizon=20.0, reps=5_000, seed=99)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from darkspec.cli import Report, ReportRow, main
+from darkspec.cli import ReportRow, main, write_report_csv
 from darkspec.config import engine_config, load_config_file, parse_components
 from darkspec.engine import read_ledger, replay_ledger, write_ledger
 from darkspec.estimation import estimate_from_observation, write_estimates_csv
@@ -176,15 +176,11 @@ class TestSimulate:
 
 
 class TestReportCsv:
-    REPORT = Report(
-        rows=[
-            ReportRow("a.mean", 1.0, 1.05, 0.1),
-            ReportRow("b.variance", 2.0, 3.5, 0.5),
-            ReportRow("c.var_gap", float("-inf"), 0.0, float("inf")),
-        ],
-        seed=7,
-        duration=0.0,
-    )
+    ROWS = [
+        ReportRow("a.mean", 1.0, 1.05, 0.1),
+        ReportRow("b.variance", 2.0, 3.5, 0.5),
+        ReportRow("c.var_gap", float("-inf"), 0.0, float("inf")),
+    ]
 
     @pytest.mark.parametrize(
         "long_format, expected",
@@ -215,14 +211,13 @@ class TestReportCsv:
     )
     def test_pinned_bytes(self, long_format, expected):
         out = io.StringIO()
-        self.REPORT.write_csv(out, long_format=long_format)
+        write_report_csv(self.ROWS, out, long_format=long_format)
         assert out.getvalue() == expected
 
     @pytest.mark.parametrize("long_format", [False, True], ids=["wide", "long"])
     def test_a_name_holding_a_carriage_return_reads_back(self, long_format):
-        report = Report(rows=[ReportRow("a\rb.mean", 1.0, 1.05, 0.1)], seed=7, duration=0.0)
         out = io.StringIO()
-        report.write_csv(out, long_format=long_format)
+        write_report_csv([ReportRow("a\rb.mean", 1.0, 1.05, 0.1)], out, long_format=long_format)
         rows = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
         assert {row[0] for row in rows[1:]} == {"a\rb.mean"}
         assert len(rows) == (7 if long_format else 2)
@@ -804,6 +799,10 @@ class TestBadInput:
              ("c.cfg:8", "unknown key 'stopping.rhoo'")),
             ("simulate", SIMULATE_MC + "component.a.category = exponential\n", None,
              ("c.cfg:8", "unknown key 'component.a.category'")),
+            ("run-process", RUN_PROCESS + "weights.psi_shape = cubic\n", "atlanta",
+             ("'weights.psi_shape'", "'cubic'")),
+            ("simulate", SIMULATE_MC.replace("severity = exponential", "severity = weibull"),
+             None, ("'component.a.severity'", "'weibull'")),
         ],
         ids=[
             "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
@@ -816,6 +815,7 @@ class TestBadInput:
             "weights-d1-negative", "diffusion-negative", "pareto-shape-0.5",
             "utilities-with-r-max", "utilities-with-delta-initial", "observed-csv-empty",
             "observed-csv-directory", "unknown-stopping-key", "unknown-component-field",
+            "psi-shape-unknown", "severity-family-unknown",
         ],
     )
     def test_exit_two_with_one_line(
@@ -877,6 +877,34 @@ class TestBadInput:
         assert captured.out == ""  # no round line, no report
         assert key in captured.err and len(captured.err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["stopping", "--config", str(STOPPING_SCENARIO), "scenarios/atlanta.licain"],
+         "unrecognized arguments"),
+        (["simulate", "scenarios/atlanta.licain", "nonexist.licain"], "unrecognized arguments"),
+        (["narrative-check"], "required: files"),
+        (["run-process", "--config", "scenarios/run.cfg"], "required: files"),
+    ], ids=["stopping-stray-file", "simulate-stray-files", "narrative-check-no-file",
+            "run-process-no-file"])
+    def test_narrative_files_only_where_read(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config", [("narrative-check", None),
+                                                 ("run-process", RUN_PROCESS)],
+                             ids=["narrative-check", "run-process"])
+    def test_parse_error_names_its_file(self, tmp_path, capsys, scenario_paths, command,
+                                        config):
+        bad = tmp_path / "bad.licain"
+        bad.write_text("NARRATIVE round=1 risk=r\nBOGUS a\n", encoding="utf-8")
+        argv = [command, "--out", str(tmp_path / "out")]
+        if config is not None:
+            argv += ["--config", write_config(tmp_path / "c.cfg", config)]
+        argv += [str(scenario_paths["atlanta"]), str(bad)]
+        expect_one_error_line(capsys, argv, "bad.licain", "line 2")
 
     def test_simulate_draws_an_empty_window(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", EMPTY_WINDOW)
@@ -958,8 +986,10 @@ class TestBadInput:
             (FEED_HEADER.replace(b"xi_hat,", b"") + b"obs,observed,,2.0,1.0,10.0,20\n",
              ["line 1", "xi_hat"]),
             (FEED_HEADER + FEED_ROW.replace(b",20", b",21"), ["line 2", "lambda_hat"]),
+            (FEED_HEADER + FEED_ROW + FEED_ROW, ["line 3", "duplicate", "'obs'"]),
         ],
-        ids=["utf8", "non-numeric", "non-finite", "missing-column", "inconsistent"],
+        ids=["utf8", "non-numeric", "non-finite", "missing-column", "inconsistent",
+             "duplicate-id"],
     )
     def test_malformed_observed_csv(self, tmp_path, capsys, scenario_paths, feed, names):
         (tmp_path / "feed.csv").write_bytes(feed)

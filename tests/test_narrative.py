@@ -477,6 +477,30 @@ class TestValidation:
         subjects = {v.subjects for v in report.violations if v.code == "flow-restriction-5"}
         assert ("observer", "2") in subjects
 
+    def test_undeclared_action_breaks_restriction_three(self):
+        n = parse_narrative(
+            PREAMBLE.replace("h1", "a") + 'HAPPENING b stage=2 actualized "y"\n'
+            "EDGE a -> b actor=a action=go\n"
+        )
+        report = validate(rebuild(n, edges=[NarrativeEdge("a", "b", "a", "stop")]))
+        assert [(v.code, v.message) for v in report.violations] == [
+            ("flow-restriction-3", "edge a->b names undeclared action 'stop'")
+        ]
+
+    def test_back_edge_leaves_the_chain_unreached(self):
+        text = (
+            PREAMBLE.replace("h1", "a")
+            + 'HAPPENING b stage=2 actualized "y"\n'
+            + 'HAPPENING c stage=3 actualized "z"\n'
+            + "".join(f"EDGE {s} -> {t} actor=a action=go\n" for s, t in ("ab", "bc", "cb"))
+        )
+        report = validate(parse_narrative(text))
+        assert [(v.code, v.message) for v in report.violations] == [
+            ("flow-restriction-2", "edge c->b must advance the stage (3 -> 2)"),
+            ("partial-acyclicity",
+             "actualized subgraph contains a cycle or a break; unreached: b, c"),
+        ]
+
     def test_split_chain_is_rejected(self):
         text = (
             "NARRATIVE round=1 risk=r\n"
