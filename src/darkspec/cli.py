@@ -9,11 +9,11 @@ the seed. Exit status: 0 all checks passed, 1 a tolerance check failed,
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import IO, Sequence
 
 from . import oracles
@@ -23,6 +23,7 @@ from .config import (
     engine_config,
     naming_keys,
     parse_components,
+    read_utf8,
     resolve_config,
     scripted_rounds,
     _as_float,
@@ -297,11 +298,9 @@ def _load_narrative(name: str):
     """Read, parse and validate one narrative file; a file that is not UTF-8
     or does not parse is a ConfigError that names it."""
     try:
-        narrative = parse_narrative(Path(name).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(
-            f"narrative file {name} is not UTF-8: {exc.reason} at byte {exc.start}"
-        ) from exc
+        narrative = parse_narrative(read_utf8(name))
+    except ConfigError as exc:  # a bad byte, named by file and line
+        raise ConfigError(f"narrative file {exc}") from exc
     except NarrativeSyntaxError as exc:
         raise ConfigError(f"narrative file {name} does not parse: {exc}") from exc
     return narrative, validate(narrative)
@@ -343,9 +342,12 @@ def cmd_run_process(cfg: ExperimentConfig) -> int:
     if "observed_csv" in cfg.values:
         name = cfg.values["observed_csv"]
         try:
-            with open(name, "r", encoding="utf-8") as source:
-                observed = tuple(read_estimates_csv(source))
-        except (OSError, UnicodeDecodeError, DomainError) as exc:
+            # newline=None reads "\r" and "\r\n" line ends as a text-mode open() does
+            source = io.StringIO(read_utf8(name), newline=None)
+            observed = tuple(read_estimates_csv(source))
+        except ConfigError as exc:  # a bad byte, named by file and line
+            raise ConfigError(f"observed_csv {exc}") from exc
+        except (OSError, DomainError) as exc:
             raise ConfigError(f"observed_csv {name}: {exc}") from exc
     ledger = RoundLedger()
     for index, script in enumerate(rounds):

@@ -44,16 +44,22 @@ _TRUE = {"true", "yes", "1", "on"}
 _FALSE = {"false", "no", "0", "off"}
 
 
+def read_utf8(path: str | Path) -> str:
+    """A text file's contents, without the byte-order mark some editors lead
+    with; a byte that is not UTF-8 is a ConfigError naming the file and line."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the codec reports the offset in the bytes after the mark
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line_no}: not UTF-8 ({exc.reason})") from exc
+
+
 def load_config_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"{path}:{line_no}: not UTF-8 ({exc.reason})") from exc
+    text = read_utf8(path)
     values: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

@@ -188,21 +188,36 @@ def _tokenize(line: str, line_no: int) -> list[tuple[str, int, bool]]:
     return tokens
 
 
-def _expect_kv(token: tuple[str, int, bool], key: str, line_no: int) -> str:
-    text, col, quoted = token
-    if quoted or not text.startswith(key + "="):
-        raise NarrativeSyntaxError(f"expected {key}=<value>", line_no, col)
-    value = text[len(key) + 1 :]
-    if not value:
-        raise NarrativeSyntaxError(f"empty value for {key}=", line_no, col)
-    return value
+def _split(line: str, line_no: int) -> list[tuple[str, bool]]:
+    """Split one line into the (token, quoted) pairs of :func:`_tokenize`.
+
+    A line without a quote, or whose one quoted string ends it with no '#'
+    before it and no backslash in it, splits with str methods, which cut at
+    the same whitespace as ``_TOKEN``'s ``\\s``; any other line goes through
+    :func:`_tokenize`."""
+    quote = line.find('"')
+    if quote < 0:
+        return [(word, False) for word in line.partition("#")[0].split()]
+    head = line[:quote]
+    body = line[quote + 1 :].rstrip()
+    if ("#" in head or "\\" in body or not body.endswith('"')
+            or body.find('"') < len(body) - 1):
+        return [(text, quoted) for text, _, quoted in _tokenize(line, line_no)]
+    return [(word, False) for word in head.split()] + [(body[:-1], True)]
 
 
-def _parse_int(text: str, what: str, line_no: int, col: int) -> int:
+def _error(message: str, line: str, line_no: int, index: int,
+           code: str = "syntax") -> NarrativeSyntaxError:
+    """An error at the line's index-th token, whose column is found by
+    tokenizing the line again: only a failing line pays for columns."""
+    return NarrativeSyntaxError(message, line_no, _tokenize(line, line_no)[index][1], code)
+
+
+def _parse_int(text: str, what: str, line: str, line_no: int, index: int) -> int:
     try:
         return int(text)
     except ValueError:
-        raise NarrativeSyntaxError(f"{what} must be an integer, got {text!r}", line_no, col)
+        raise _error(f"{what} must be an integer, got {text!r}", line, line_no, index)
 
 
 # each record's operands, as its "<KEYWORD> takes <usage>" error prints them:
@@ -230,9 +245,9 @@ _REFERENCES = {
 def _shape(usage: str) -> tuple:
     """The checks a usage asks for: (least, most operand count; the (position,
     field) of each token part the arity check reads, a token being (text,
-    column, quoted), and the value it wants there: each word's quoted flag,
+    quoted), and the value it wants there: each word's quoted flag,
     True only for "<...>", then each literal's text, so a literal is bare;
-    (position, key) pairs; (position, kind) references). Words after an
+    (position, "key=") pairs; (position, kind) references). Words after an
     optional one are the keyword's own to check."""
     words = list(enumerate(usage.partition(" [")[0].split()))
     plain = [(i, w) for i, w in words if "=" not in w]
@@ -241,9 +256,9 @@ def _shape(usage: str) -> tuple:
     return (
         least,
         math.inf if "[" in usage else least,
-        [(i, 2) for i, w in plain] + [(i, 0) for i, w in literals],
+        [(i, 1) for i, w in plain] + [(i, 0) for i, w in literals],
         [w[0] == '"' for i, w in plain] + [w for i, w in literals],
-        tuple((i, w.partition("=")[0]) for i, w in words if "=" in w),
+        tuple((i, w[: w.index("=") + 1]) for i, w in words if "=" in w),
         tuple((i, kind) for i, w in words for kind, named in _REFERENCES.items() if w in named),
     )
 
@@ -264,35 +279,39 @@ def parse_narrative(text: str) -> Narrative:
     tables = {"happening": happenings, "actor": actors, "action": actions}
 
     for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(line, line_no)
+        tokens = _split(line, line_no)
         if not tokens:
             continue
-        keyword, kw_col, quoted = tokens[0]
+        keyword, quoted = tokens[0]
         if quoted:
-            raise NarrativeSyntaxError("record must start with a keyword", line_no, kw_col)
+            raise _error("record must start with a keyword", line, line_no, 0)
         shape = _SHAPES.get(keyword)
         if shape is None:
-            raise NarrativeSyntaxError(f"unknown keyword {keyword!r}", line_no, kw_col)
+            raise _error(f"unknown keyword {keyword!r}", line, line_no, 0)
         if keyword == "NARRATIVE" and header is not None:
-            raise NarrativeSyntaxError("duplicate NARRATIVE header", line_no, kw_col,
-                                       code="duplicate-id")
+            raise _error("duplicate NARRATIVE header", line, line_no, 0, "duplicate-id")
 
         # the operand check: arity and quoting, then each key=value, then each
-        # reference, all in operand order
+        # reference, all in operand order; operand i is the line's token i + 1
         least, most, fields, wants, keys, references = shape
         rest = tokens[1:]
         if not least <= len(rest) <= most or [rest[i][f] for i, f in fields] != wants:
-            raise NarrativeSyntaxError(f"{keyword} takes {_USAGE[keyword]}", line_no, kw_col)
+            raise _error(f"{keyword} takes {_USAGE[keyword]}", line, line_no, 0)
         values = [token[0] for token in rest]
         for i, key in keys:
-            values[i] = _expect_kv(rest[i], key, line_no)
+            word, quoted = rest[i]
+            if quoted or not word.startswith(key):
+                raise _error(f"expected {key}<value>", line, line_no, i + 1)
+            values[i] = word[len(key) :]
+            if not values[i]:
+                raise _error(f"empty value for {key}", line, line_no, i + 1)
         for i, kind in references:
             if values[i] not in tables[kind]:
-                raise NarrativeSyntaxError(f"unknown {kind} {values[i]!r}", line_no,
-                                           rest[i][1], code="dangling-reference")
+                raise _error(f"unknown {kind} {values[i]!r}", line, line_no, i + 1,
+                             "dangling-reference")
 
         if keyword == "NARRATIVE":
-            header = (_parse_int(values[0], "round", line_no, rest[0][1]), values[1])
+            header = (_parse_int(values[0], "round", line, line_no, 1), values[1])
         elif keyword in ("ACTOR", "ACTION"):
             noun = keyword.lower()
             kinds, cls = (ActorKind, Actor) if noun == "actor" else (ActionKind, Action)
@@ -300,24 +319,21 @@ def parse_narrative(text: str) -> Narrative:
             try:
                 kind = kinds(kind_text)
             except ValueError:
-                raise NarrativeSyntaxError(f"unknown {noun} kind {kind_text!r}",
-                                           line_no, rest[1][1])
+                raise _error(f"unknown {noun} kind {kind_text!r}", line, line_no, 2)
             if record_id in tables[noun]:
-                raise NarrativeSyntaxError(f"duplicate {noun} id {record_id!r}",
-                                           line_no, rest[0][1], code="duplicate-id")
+                raise _error(f"duplicate {noun} id {record_id!r}", line, line_no, 1,
+                             "duplicate-id")
             tables[noun][record_id] = cls(record_id, kind)
         elif keyword == "HAPPENING":
-            stage = _parse_int(values[1], "stage", line_no, rest[1][1])
-            actualized = not rest[2][2] and rest[2][0] == "actualized"
-            if len(rest) != 3 + actualized or not rest[-1][2]:
-                raise NarrativeSyntaxError("HAPPENING needs a quoted description",
-                                           line_no, kw_col)
+            stage = _parse_int(values[1], "stage", line, line_no, 2)
+            actualized = not rest[2][1] and rest[2][0] == "actualized"
+            if len(rest) != 3 + actualized or not rest[-1][1]:
+                raise _error("HAPPENING needs a quoted description", line, line_no, 0)
             if values[0] in happenings:
-                raise NarrativeSyntaxError(f"duplicate happening id {values[0]!r}",
-                                           line_no, rest[0][1], code="duplicate-id")
+                raise _error(f"duplicate happening id {values[0]!r}", line, line_no, 1,
+                             "duplicate-id")
             if stage < 1:
-                raise NarrativeSyntaxError(f"stage must be >= 1, got {stage}",
-                                           line_no, rest[1][1])
+                raise _error(f"stage must be >= 1, got {stage}", line, line_no, 2)
             happenings[values[0]] = (stage, values[-1], actualized)
         elif keyword == "CONTEXT":
             contexts.setdefault(values[0], []).append(values[1])

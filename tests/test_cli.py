@@ -979,7 +979,8 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "feed, names",
         [
-            (FEED_HEADER + b"obs\xff,observed,,2.0,3.0,1.0,10.0,20\n", ["utf-8"]),
+            (FEED_HEADER + b"obs\xff,observed,,2.0,3.0,1.0,10.0,20\n",
+             ["feed.csv:2", "not UTF-8"]),
             (FEED_HEADER + FEED_ROW.replace(b"2.0", b"abc"), ["line 2", "'lambda_hat'"]),
             (FEED_HEADER + FEED_ROW + FEED_ROW.replace(b"3.0", b"nan"),
              ["line 3", "'xi_hat'"]),
@@ -999,6 +1000,41 @@ class TestBadInput:
         argv = ["run-process", "--config", cfg, "--out", str(tmp_path / "out"),
                 str(scenario_paths["atlanta"])]
         expect_one_error_line(capsys, argv, "feed.csv", *names)
+
+    @pytest.mark.parametrize("name", ["a.licain", "c.cfg", "feed.csv"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, scenario_paths, name):
+        # the same run-process inputs with and without a leading UTF-8 BOM on one file
+        def run(bom, out):
+            inputs = {
+                "a.licain": scenario_paths["atlanta"].read_bytes(),
+                "c.cfg": ("observed_csv = feed.csv\n" + RUN_PROCESS).encode("utf-8"),
+                "feed.csv": FEED_HEADER + FEED_ROW,
+            }
+            inputs[name] = bom + inputs[name]
+            for file, data in inputs.items():
+                (tmp_path / file).write_bytes(data)
+            assert main(["run-process", "--config", str(tmp_path / "c.cfg"),
+                         "--out", str(tmp_path / out), str(tmp_path / "a.licain")]) == 0
+            return (tmp_path / out / "ledger.jsonl").read_bytes()
+
+        assert run(b"\xef\xbb\xbf", "bom") == run(b"", "plain")
+
+    @pytest.mark.parametrize("name, bad_line", [("a.licain", b"# \xff\n"),
+                                                ("feed.csv", b"obs\xff" + FEED_ROW[3:])],
+                             ids=["a.licain", "feed.csv"])
+    def test_bad_byte_names_its_line(self, tmp_path, capsys, scenario_paths, name, bad_line):
+        # 2,000 good rows put the feed's bad byte far past a text reader's first chunk
+        rows = b"".join(FEED_ROW.replace(b"obs,", b"obs%d," % i) for i in range(2000))
+        inputs = {"a.licain": scenario_paths["atlanta"].read_bytes(),
+                  "feed.csv": FEED_HEADER + rows}
+        inputs[name] += bad_line
+        for file, data in inputs.items():
+            (tmp_path / file).write_bytes(data)
+        cfg = write_config(tmp_path / "c.cfg", RUN_PROCESS + "observed_csv = feed.csv\n")
+        argv = ["run-process", "--config", cfg, "--out", str(tmp_path / "out"),
+                str(tmp_path / "a.licain")]
+        lines = inputs[name].count(b"\n")
+        expect_one_error_line(capsys, argv, f"{name}:{lines}: not UTF-8")
 
 
 class TestFlagPrecedence:

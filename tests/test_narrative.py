@@ -29,7 +29,7 @@ from darkspec import (
     serialize_narrative,
     validate,
 )
-from darkspec.narrative import _tokenize
+from darkspec.narrative import _split, _tokenize
 
 AGENTIVE = {ActionKind.HUMAN, ActionKind.MACHINE, ActionKind.JOINT}
 
@@ -342,6 +342,18 @@ class TestParsing:
         assert str(exc.value) == f"line {line}, column {column}: {message}"
         assert (exc.value.code, exc.value.line, exc.value.column) == (code, line, column)
 
+    # test_record_errors' documents again, with "\r\n" line ends and with a comment
+    # after every line, which sends a quoted line past _split's str path to _tokenize
+    @pytest.mark.parametrize("document, message, code, line, column",
+                             test_record_errors.pytestmark[0].args[1])
+    def test_record_errors_under_crlf_and_comments(self, document, message, code, line,
+                                                   column):
+        for ending in ("\r\n", "  # note\n"):
+            with pytest.raises(NarrativeSyntaxError) as exc:
+                parse_narrative("".join(row + ending for row in document.splitlines()))
+            assert str(exc.value) == f"line {line}, column {column}: {message}"
+            assert (exc.value.code, exc.value.line, exc.value.column) == (code, line, column)
+
 
 def reference_tokenize(line, line_no):
     """The character loop the regular-expression tokenizer replaced."""
@@ -394,6 +406,14 @@ class TestTokenizer:
     @settings(max_examples=2000, deadline=None)
     def test_matches_character_loop(self, line):
         assert tokenize_outcome(_tokenize, line) == tokenize_outcome(reference_tokenize, line)
+
+    @given(st.text(alphabet='ab"#\\ \t\x1f\u00a0\u2003=->\u00e9', max_size=40))
+    @settings(max_examples=2000, deadline=None)
+    def test_split_matches_tokenize(self, line):
+        expected = tokenize_outcome(_tokenize, line)
+        if isinstance(expected, list):
+            expected = [(text, quoted) for text, _, quoted in expected]
+        assert tokenize_outcome(_split, line) == expected
 
     def test_whitespace_class_is_str_isspace(self):
         every = "".join(map(chr, range(0x110000)))
