@@ -422,7 +422,7 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
             raise ConfigError(
                 "keys 'cost.c_write' and 'cost.c_spec' give a non-finite round utility"
             )
-        keys = ("stopping.rho",)
+        keys = ("stopping.rho", "stopping.delta_initial", "stopping.delta_decay")
     with naming_keys(*keys):
         result = optimal_stopping_brute(utilities, rho)
     cfg.out.mkdir(parents=True, exist_ok=True)

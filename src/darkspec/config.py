@@ -50,8 +50,10 @@ def read_utf8(path: str | Path) -> str:
     try:
         return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # the codec reports the offset in the bytes after the mark
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        # the codec reports the offset in the bytes after the mark; the bad byte
+        # stands on the last line of what precedes it, numbered as the parsers
+        # number lines, by str.splitlines
+        line_no = len((exc.object[:exc.start].decode("utf-8") + "?").splitlines())
         raise ConfigError(f"{path}:{line_no}: not UTF-8 ({exc.reason})") from exc
 
 
@@ -372,8 +374,9 @@ class ExperimentConfig:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
-            raise ConfigError(f"tolerance must be a finite number > 0, got {self.tolerance}")
+        # a relative tolerance past 1 would accept an oracle of either sign
+        if not 0.0 < self.tolerance <= 1.0:
+            raise ConfigError(f"tolerance must lie in (0, 1], got {self.tolerance}")
         referenced = list(self.files)
         if self.values.get("observed_csv"):
             referenced.append(self.values["observed_csv"])

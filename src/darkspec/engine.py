@@ -23,14 +23,8 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from .errors import DomainError, NarrativeInvalidError, ParameterError, RoundAbortedError
-from .estimation import (
-    EstimateSource,
-    PKREResult,
-    RiskEstimate,
-    compute_pkre,
-    estimate_loss_variance,
-    expected_jump_loss,
-)
+from .estimation import EstimateSource, PKREResult, RiskEstimate, _check_unique, _pkre, _units
+from .estimation import compute_pkre  # unused here; perfbench/tracer.py wraps this name
 from .narrative import Narrative, validate
 
 LEDGER_SCHEMA_VERSION = 2  # read_ledger also reads version 1
@@ -303,8 +297,10 @@ def optimal_stopping_brute(utilities: Sequence[float], rho: float) -> StoppingRe
     values = [0.0]
     running = 0.0
     discount = 1.0
-    for u in utilities:
+    for r, u in enumerate(utilities, start=1):
         running += discount * u
+        if not math.isfinite(running):
+            raise DomainError(f"the value of stopping after round {r} overflows")
         values.append(running)
         discount *= rho
     best = max(range(horizon + 1), key=lambda r: (values[r], -r))
@@ -372,36 +368,16 @@ class RoundRecord:
     red_line: bool | None
 
 
-_UNIT = 2**1074  # every finite double is a whole number of 2**-1074
-
-
-def _units(estimates) -> tuple[int, int] | None:
-    """The loss and the variance terms of ``estimates``, each summed exactly
-    as an int in units of 2**-1074; None when a term is not finite."""
-    sums = [0, 0]
-    for estimate in estimates:
-        terms = expected_jump_loss(estimate), estimate_loss_variance(estimate)
-        for i, term in enumerate(terms):
-            if not math.isfinite(term):
-                return None
-            n, d = term.as_integer_ratio()  # d = 2**k with k <= 1074
-            sums[i] += n << (1075 - d.bit_length())
-    return sums[0], sums[1]
-
-
 class _RunningPKRE:
     """The PKRE state of the newest ledger of a chain, which each round moves
     on in place: the latest underwriting estimate per imagined risk, in
     first-seen order, the feed tuple folded last, and the imagined and the
     observed sums of the loss and the variance terms, as ints in units of
-    2**-1074.
+    2**-1074 (estimation._units).
 
-    Every finite double is a whole number of those units, so the int sums are
-    exact however the terms were added and taken away, and one int division
-    by 2**1074 rounds a sum correctly, to the bits math.fsum gives over the
-    terms. A sum with a term that is not finite is None, and a round whose
-    sums are None or divide past the float range sums the lists through
-    compute_pkre, raising or giving inf and nan as compute_pkre does.
+    A round adds its new estimate's units to the imagined sums and takes away
+    those of the estimate it replaces. The int sums stay exact, so the PKRE
+    has the bits compute_pkre gives over the whole lists.
     """
 
     def __init__(self, records: tuple[RoundRecord, ...]):
@@ -410,44 +386,26 @@ class _RunningPKRE:
         for r in records:
             self.imagined[r.risk_id] = r.underwriting.to_estimate(r.risk_id, r.round)
         self.imagined_sums = _units(self.imagined.values())
-        self.feed: tuple[RiskEstimate, ...] | None = None
-        self.observed_sums: tuple[int, int] | None = None
+        self.feed: tuple[RiskEstimate, ...] = ()
+        self.observed_sums = (0, 0)
 
     def pkre_after(
         self,
         feed: tuple[RiskEstimate, ...],
         risk_id: str,
         estimate: RiskEstimate,
-    ) -> tuple[PKREResult, tuple[int, int] | None, tuple[int, int] | None]:
+    ) -> tuple[PKREResult, tuple[int, int], tuple[int, int]]:
         """(PKRE, observed sums, imagined sums) once ``estimate`` is the
         latest for ``risk_id`` under ``feed``, changing nothing here."""
         if feed is self.feed:  # identity: a tuple of frozen estimates
             observed = self.observed_sums
         else:
+            _check_unique(feed, "observed")
             observed = _units(feed)
-            if observed is not None:
-                compute_pkre(feed, ())  # raises on a duplicate id
-        added = self.imagined_sums and _units((estimate,))
-        if added is None:
-            # a term that is not finite came or went: start again from the terms
-            imagined = _units({**self.imagined, risk_id: estimate}.values())
-        else:
-            replaced = self.imagined.get(risk_id)
-            taken = _units((replaced,) if replaced else ())
-            imagined = tuple(s + a - t for s, a, t in zip(self.imagined_sums, added, taken))
-        if observed is not None and imagined is not None:
-            (observed_loss, observed_var), (imagined_loss, imagined_var) = observed, imagined
-            try:
-                return PKREResult(
-                    observed=observed_loss / _UNIT,
-                    imagined=imagined_loss / _UNIT,
-                    total=(observed_loss + imagined_loss) / _UNIT,
-                    variance=(observed_var + imagined_var) / _UNIT,
-                ), observed, imagined
-            except OverflowError:  # past the float range: compute_pkre raises as before
-                pass
-        estimates = list({**self.imagined, risk_id: estimate}.values())
-        return compute_pkre(feed, estimates), observed, imagined
+        replaced = self.imagined.get(risk_id)
+        added, taken = _units((estimate,)), _units((replaced,) if replaced else ())
+        imagined = tuple(s + a - t for s, a, t in zip(self.imagined_sums, added, taken))
+        return _pkre(observed, imagined), observed, imagined
 
     def ledger(self, records: tuple[RoundRecord, ...]) -> "RoundLedger":
         """The ledger of ``records``, which this state is now for."""
@@ -564,33 +522,39 @@ def _next_record(
     config: EngineConfig,
 ) -> RoundRecord:
     """The record of the round after ``previous``. ``state`` moves on only
-    once the record is built, so a round that raises leaves it as it was."""
+    once the record is built, so a round that raises leaves it as it was; an
+    estimate, a PKRE or a delta that is not finite raises an error that names
+    the round."""
     round_index = previous.round + 1 if previous else 1
-    estimate = underwriting.to_estimate(risk_id, round_index)
     newly_imagined = risk_id not in state.imagined
-    pkre, observed_sums, imagined_sums = state.pkre_after(observed_feed, risk_id, estimate)
+    noise_variance = (
+        config.quality.noise_variance(happening_count) if config.quality else 0.0
+    )
+    try:
+        estimate = underwriting.to_estimate(risk_id, round_index)
+        pkre, observed_sums, imagined_sums = state.pkre_after(observed_feed, risk_id, estimate)
+        deltas = RoundDeltas(
+            statistical=statistical_delta_new_risk(
+                config.weights,
+                underwriting.lambda_hat,
+                underwriting.xi_hat,
+                underwriting.severity_variance,
+                noise_variance=noise_variance,
+            ),
+            mitigation=benefits.mitigation - (previous.benefits.mitigation if previous else 0.0),
+            option=benefits.option - (previous.benefits.option if previous else 0.0),
+        )
+        for name, value in vars(deltas).items():
+            if not math.isfinite(value):
+                raise DomainError(f"the {name} delta is {value}")
+    except (DomainError, ParameterError) as exc:
+        raise type(exc)(f"round {round_index}: {exc}") from exc
 
     costs = config.costs
     paid = RoundCosts(
         speculation=costs.speculation_cost(happening_count),
         writing=costs.c_write,
         observation=costs.c_obs if sponsored else 0.0,
-    )
-
-    noise_variance = (
-        config.quality.noise_variance(happening_count) if config.quality else 0.0
-    )
-    statistical = statistical_delta_new_risk(
-        config.weights,
-        underwriting.lambda_hat,
-        underwriting.xi_hat,
-        underwriting.severity_variance,
-        noise_variance=noise_variance,
-    )
-    deltas = RoundDeltas(
-        statistical=statistical,
-        mitigation=benefits.mitigation - (previous.benefits.mitigation if previous else 0.0),
-        option=benefits.option - (previous.benefits.option if previous else 0.0),
     )
     gate = continuation(costs, happening_count, round_index, deltas)
 
@@ -671,8 +635,9 @@ def _ledger_line(record: RoundRecord, previous: RoundRecord | None) -> str:
     carried = previous is not None and record.observed is previous.observed
     line = _encode_record(record, ("observed",) if carried else ())
     line["schema_version"] = LEDGER_SCHEMA_VERSION
-    # the tree is built here from scalar fields, so it cannot contain itself
-    return json.dumps(line, sort_keys=True, check_circular=False) + "\n"
+    # the tree is built here from scalar fields, so it cannot contain itself;
+    # allow_nan=False keeps each line RFC 8259 JSON, which has no Infinity
+    return json.dumps(line, sort_keys=True, check_circular=False, allow_nan=False) + "\n"
 
 
 def _record_from_line(data, previous: RoundRecord | None) -> RoundRecord:

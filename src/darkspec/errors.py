@@ -17,14 +17,6 @@ class VarianceUndefinedError(ParameterError):
     """A variance was requested for a distribution whose second moment diverges."""
 
 
-class NoEventsError(DarkspecError, ValueError):
-    """An estimator that needs at least one observed event received none.
-
-    Distinct from a zero-valued estimate: with no events the mean severity
-    is undefined, not zero.
-    """
-
-
 class MitigationInvalidError(DarkspecError, ValueError):
     """A proposed mitigation does not strictly reduce the expected loss."""
 

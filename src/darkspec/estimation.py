@@ -1,4 +1,4 @@
-"""Frequency/severity estimators and the process-knowable risk estimate (PKRE).
+"""The observed-history estimator and the process-knowable risk estimate (PKRE).
 
 Observed-history estimates come straight from event counts and jump sizes;
 underwritten estimates arrive from a speculation round. Either way the
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Sequence
 
-from .errors import DomainError, NoEventsError, ParameterError
+from .errors import DomainError, ParameterError
 from .process import csv_line
 
 
@@ -48,18 +48,18 @@ class RiskEstimate:
     total_loss: float | None = None
 
     def __post_init__(self):
-        if self.window <= 0.0:
-            raise DomainError(f"window must be > 0, got {self.window}")
-        if self.lambda_hat < 0.0:
-            raise ParameterError(f"lambda_hat must be >= 0, got {self.lambda_hat}")
-        if self.severity_variance < 0.0:
+        if not 0.0 < self.window < math.inf:
+            raise DomainError(f"window must be finite and > 0, got {self.window}")
+        if not 0.0 <= self.lambda_hat < math.inf:
+            raise ParameterError(f"lambda_hat must be finite and >= 0, got {self.lambda_hat}")
+        if not 0.0 <= self.severity_variance < math.inf:
             raise ParameterError(
-                f"severity_variance must be >= 0, got {self.severity_variance}"
+                f"severity_variance must be finite and >= 0, got {self.severity_variance}"
             )
         if self.n_events < 0:
             raise ParameterError(f"n_events must be >= 0, got {self.n_events}")
-        if self.xi_hat is not None and self.xi_hat < 0.0:
-            raise ParameterError(f"xi_hat must be >= 0, got {self.xi_hat}")
+        if self.xi_hat is not None and not 0.0 <= self.xi_hat < math.inf:
+            raise ParameterError(f"xi_hat must be finite and >= 0, got {self.xi_hat}")
         if self.source is EstimateSource.OBSERVED_HISTORY:
             if self.lambda_hat != self.n_events / self.window:
                 raise ParameterError(
@@ -110,41 +110,6 @@ def estimate_from_observation(
         source=EstimateSource.OBSERVED_HISTORY,
         total_loss=total,
     )
-
-
-@dataclass(frozen=True)
-class FrequencyEstimate:
-    rate: float
-    variance: float
-
-
-def estimate_frequency(event_count: int, window: float) -> FrequencyEstimate:
-    """rate = N / T with sampling variance rate / T."""
-    if window <= 0.0:
-        raise DomainError(f"window must be > 0, got {window}")
-    if event_count < 0:
-        raise DomainError(f"event_count must be >= 0, got {event_count}")
-    rate = event_count / window
-    return FrequencyEstimate(rate=rate, variance=rate / window)
-
-
-@dataclass(frozen=True)
-class SeverityEstimate:
-    mean: float
-    variance: float          # sampling variance of the mean: s^2 / n
-    sample_variance: float   # unbiased s^2 of the jump sizes themselves
-
-
-def estimate_severity(jump_sizes: Sequence[float]) -> SeverityEstimate:
-    """Sample mean of jump sizes; undefined (not zero) on an empty sample."""
-    import numpy as np
-    sizes = np.asarray(jump_sizes, dtype=float)
-    n = len(sizes)
-    if n == 0:
-        raise NoEventsError("mean severity is undefined with no observed events")
-    mean = float(np.mean(sizes))
-    sample_var = float(np.var(sizes, ddof=1)) if n > 1 else 0.0
-    return SeverityEstimate(mean=mean, variance=sample_var / n, sample_variance=sample_var)
 
 
 def expected_jump_loss(estimate: RiskEstimate) -> float:
@@ -215,22 +180,50 @@ def _check_unique(estimates: Sequence[RiskEstimate], label: str) -> None:
         seen.add(est.component_id)
 
 
+_UNIT = 2**1074  # every finite double is a whole number of 2**-1074
+
+
+def _units(estimates: Iterable[RiskEstimate]) -> tuple[int, int]:
+    """The loss and the variance terms of ``estimates``, each summed exactly
+    as an int in units of 2**-1074; a term that is not finite raises
+    DomainError naming its component."""
+    sums = [0, 0]
+    for estimate in estimates:
+        terms = expected_jump_loss(estimate), estimate_loss_variance(estimate)
+        for i, term in enumerate(terms):
+            if not math.isfinite(term):
+                name = ("expected loss", "loss variance")[i]
+                raise DomainError(f"the {name} of {estimate.component_id!r} is {term}")
+            n, d = term.as_integer_ratio()  # d = 2**k with k <= 1074
+            sums[i] += n << (1075 - d.bit_length())
+    return sums[0], sums[1]
+
+
+def _pkre(observed: tuple[int, int], imagined: tuple[int, int]) -> PKREResult:
+    """The PKRE of the observed and the imagined unit sums. Int true division
+    rounds correctly, so each value has the bits math.fsum gives over the
+    terms; a value past the float range raises DomainError."""
+    (observed_loss, observed_var), (imagined_loss, imagined_var) = observed, imagined
+    try:
+        return PKREResult(
+            observed=observed_loss / _UNIT,
+            imagined=imagined_loss / _UNIT,
+            total=(observed_loss + imagined_loss) / _UNIT,
+            variance=(observed_var + imagined_var) / _UNIT,
+        )
+    except OverflowError:
+        raise DomainError("the PKRE passes the largest float") from None
+
+
 def compute_pkre(
     observed: Sequence[RiskEstimate],
     imagined: Sequence[RiskEstimate],
 ) -> PKREResult:
-    """Total expected jump loss and its variance over both estimate sets; each
-    total is a ``math.fsum``, so it is correctly rounded whatever the grouping."""
+    """Total expected jump loss and its variance over both estimate sets, each
+    an exact sum, correctly rounded whatever the grouping."""
     _check_unique(observed, "observed")
     _check_unique(imagined, "imagined")
-    observed_rates = [expected_jump_loss(est) for est in observed]
-    imagined_rates = [expected_jump_loss(est) for est in imagined]
-    return PKREResult(
-        observed=math.fsum(observed_rates),
-        imagined=math.fsum(imagined_rates),
-        total=math.fsum(observed_rates + imagined_rates),
-        variance=math.fsum(estimate_loss_variance(e) for e in (*observed, *imagined)),
-    )
+    return _pkre(_units(observed), _units(imagined))
 
 
 _ESTIMATE_CSV_HEADER = [

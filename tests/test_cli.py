@@ -26,6 +26,7 @@ LEDGER_V1 = REPO_ROOT / "tests" / "data" / "ledger_v1.jsonl"
 LEDGER_V2 = REPO_ROOT / "tests" / "data" / "ledger_v2.jsonl"
 LEDGER_EXAMPLE = REPO_ROOT / "tests" / "data" / "ledger_example.jsonl"
 STOPPING_SCENARIO = REPO_ROOT / "scenarios" / "stopping.cfg"
+RUN_SCENARIO = REPO_ROOT / "scenarios" / "run.cfg"
 GAP_SCENARIO = REPO_ROOT / "scenarios" / "gap.cfg"
 
 
@@ -750,6 +751,11 @@ class TestBadInput:
              "stopping.utilities"),
             ("stopping", "stopping.utilities = 1,nan,2\n", None, "stopping.utilities"),
             ("stopping", "stopping.utilities = 1,inf,2\n", None, "stopping.utilities"),
+            # finite utilities whose running value overflows: stopping.csv would hold inf
+            ("stopping", "stopping.utilities = 1e308,1e308\n", None, "stopping.utilities"),
+            ("stopping", STOPPING_GEOMETRIC.replace("= 20", "= 30")
+             .replace("= 10.0", "= 1e307").replace("= 0.5", "= 1.0"), None,
+             ("stopping.delta_initial", "after round 18 overflows")),
             ("stopping", "stopping.utilities = 1,2\nstopping.rho = 2\n", None, "stopping.rho"),
             ("stopping", STOPPING_GEOMETRIC.replace("rho = 1.0", "rho = 0"), None,
              "stopping.rho"),
@@ -808,7 +814,7 @@ class TestBadInput:
             "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
             "config-utf8", "jump-rate-nan", "horizon-nan", "drift-inf", "tolerance-key-inf",
             "r-max-31", "r-max-million", "r-max-fraction", "utilities-31", "utilities-nan",
-            "utilities-inf", "rho-2", "rho-0", "window-0", "delta-overflow",
+            "utilities-inf", "utilities-overflow", "deltas-overflow", "rho-2", "rho-0", "window-0", "delta-overflow",
             "delta-inf", "cost-inf", "estimate-horizon-1e308", "estimate-jump-rate-1e9",
             "simulate-jump-rate-1e9", "gap-study-jump-rate-1e9", "sigma-eps-negative",
             "pi-1.5", "stopping-c-write-negative", "run-process-c-write-negative",
@@ -975,6 +981,59 @@ class TestBadInput:
         argv = ["simulate", "--config", cfg, "--reps", "10", "--tolerance", value,
                 "--out", str(tmp_path / "out")]
         expect_one_error_line(capsys, argv, "tolerance")
+
+    # scenarios/gap.cfg's report would FAIL rows whose tolerance overflows to inf
+    @pytest.mark.parametrize("value", ["1e308", "1.5", "0", "-0.5"])
+    def test_tolerance_lies_in_zero_one(self, tmp_path, capsys, value):
+        argv = ["gap-study", "--config", str(GAP_SCENARIO), "--tolerance", value,
+                "--out", str(tmp_path / "out")]
+        expect_one_error_line(capsys, argv, "tolerance must lie in (0, 1]")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("values, names", [
+        ({"round.1.lambda_hat": "1e300", "round.1.xi_hat": "1e300"},
+         ("round 1: ", "expected loss of 'atlanta-rdd' is inf")),
+        # a finite PKRE, but a statistical delta of (1e100 * 1e100)^2
+        ({"round.1.lambda_hat": "1e100", "round.1.xi_hat": "1e100"},
+         ("round 1: ", "statistical delta is inf")),
+        # absolute gaps scaled down keep the delta finite: the PKRE sum overflows
+        ({"round.1.lambda_hat": "1.7e308", "round.1.xi_hat": "1.0",
+          "round.1.severity_var": "0.0", "round.2.lambda_hat": "1.7e308",
+          "round.2.xi_hat": "1.0", "weights.psi_shape": "absolute", "weights.phi": "0.001"},
+         ("round 2: ", "PKRE passes the largest float")),
+        # finite benefits whose round-on-round change overflows
+        ({"round.1.mitigation": "-1.7e308", "round.2.mitigation": "1.7e308"},
+         ("round 2: ", "mitigation delta is inf")),
+    ], ids=["loss-term", "statistical-delta", "pkre-sum", "mitigation-delta"])
+    def test_a_round_past_the_float_range(self, tmp_path, capsys, values, names):
+        # scenarios/run.cfg with these keys set: the ledger would hold Infinity
+        lines = [line for line in RUN_SCENARIO.read_text(encoding="utf-8").splitlines()
+                 if line.split("=")[0].strip() not in values]
+        lines += [f"{key} = {value}" for key, value in values.items()]
+        cfg = write_config(tmp_path / "c.cfg", "\n".join(lines) + "\n")
+        # observed_csv names a file beside the config
+        (tmp_path / "observed.csv").write_bytes((RUN_SCENARIO.parent / "observed.csv").read_bytes())
+        argv = ["run-process", "--config", cfg, "--out", str(tmp_path / "out"),
+                str(REPO_ROOT / "scenarios" / "atlanta.licain"),
+                str(REPO_ROOT / "scenarios" / "bioweapon.licain")]
+        expect_one_error_line(capsys, argv, *names)
+        assert not (tmp_path / "out" / "ledger.jsonl").exists()
+
+    @pytest.mark.parametrize("name", ["a.licain", "c.cfg", "feed.csv"])
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                                     "\x1e", "\x85", "\u2028", "\u2029"], ids=ascii)
+    def test_bad_byte_on_line_three_after_any_line_break(self, tmp_path, capsys,
+                                                          scenario_paths, name, brk):
+        # str.splitlines' line breaks, which the parsers number lines by
+        inputs = {"a.licain": scenario_paths["atlanta"].read_bytes(),
+                  "c.cfg": (RUN_PROCESS + "observed_csv = feed.csv\n").encode("utf-8"),
+                  "feed.csv": FEED_HEADER + FEED_ROW}
+        inputs[name] = f"# one{brk}# two{brk}# ".encode("utf-8") + b"\xff\n"
+        for file, data in inputs.items():
+            (tmp_path / file).write_bytes(data)
+        argv = ["run-process", "--config", str(tmp_path / "c.cfg"),
+                "--out", str(tmp_path / "out"), str(tmp_path / "a.licain")]
+        expect_one_error_line(capsys, argv, f"{name}:3: not UTF-8")
 
     @pytest.mark.parametrize(
         "feed, names",

@@ -38,6 +38,7 @@ from darkspec import (
     build_narrative,
     compute_pkre,
     estimate_from_observation,
+    expected_jump_loss,
     community_precision_condition,
     continuation,
     hyperanxiety_avoidance,
@@ -50,6 +51,7 @@ from darkspec import (
     write_ledger,
 )
 from darkspec.engine import append_record, statistical_delta_new_risk
+from darkspec.estimation import estimate_loss_variance
 
 
 def chain_narrative(risk_id: str, round_index: int, stages: int = 3):
@@ -313,6 +315,10 @@ class TestBruteStopping:
         assert result.tau_star == 3
         assert result.values[3] == pytest.approx(9.0)
 
+    def test_a_running_value_past_the_float_range_raises(self):
+        with pytest.raises(DomainError, match="after round 2 overflows"):
+            optimal_stopping_brute([1e308, 1e308, -1e308], rho=1.0)
+
     def test_tie_breaks_to_earliest(self):
         # stopping after round 1 or 3 both give 1.0; earliest wins
         result = optimal_stopping_brute([1.0, -1.0, 1.0], rho=1.0)
@@ -564,6 +570,13 @@ class TestLedgerPersistence:
         with pytest.raises(DomainError, match=f"^{re.escape(str(path))}:3: "):
             read_ledger(path)
 
+    def test_a_value_that_is_not_finite_is_never_written(self, tmp_path):
+        # RFC 8259 JSON has no Infinity or NaN
+        ledger, _ = self.build_ledger()
+        record = replace(ledger.records[0], pkre=replace(ledger.records[0].pkre, total=math.inf))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_ledger(RoundLedger(records=(record,)), tmp_path / "ledger.jsonl")
+
     def test_first_line_has_no_feed_to_carry(self, tmp_path):
         ledger, _ = self.build_ledger()
         path = tmp_path / "ledger.jsonl"
@@ -777,16 +790,36 @@ ROUND_STEPS = st.tuples(
 
 
 def pkre_bits(values):
-    # what a ledger line holds: nan reads equal to nan, -0.0 differs from 0.0
+    # what a ledger line holds: -0.0 differs from 0.0
     return [repr(float(v)) for v in values]
 
 
-big, unit, zero, inf = (UnderwritingResult(lam, 1.0) for lam in (1e300, 1.0, 0.0, math.inf))
+def fsum_pkre(observed, imagined):
+    """(total, observed, imagined, variance) summed by math.fsum, apart from the
+    engine's int sums; ValueError for a repeated id or a value that is not
+    finite, and OverflowError where fsum finds finite terms past the float range."""
+    for estimates in (observed, imagined):
+        if len({e.component_id for e in estimates}) < len(estimates):
+            raise ValueError("duplicate component id")
+    observed_loss, imagined_loss = ([expected_jump_loss(e) for e in s] for s in (observed, imagined))
+    values = (
+        math.fsum(observed_loss + imagined_loss), math.fsum(observed_loss),
+        math.fsum(imagined_loss), math.fsum(map(estimate_loss_variance, (*observed, *imagined))),
+    )
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"not finite: {values}")
+    return values
+
+
+big, unit, zero = (UnderwritingResult(lam, 1.0) for lam in (1e300, 1.0, 0.0))
 
 
 class TestRunningPkre:
+    # absolute gaps scaled by 2**-10 keep the statistical delta finite while a
+    # 1e308 loss term is, so the PKRE sum itself is what overflows
     config = EngineConfig(
         costs=CostModel.constant(c_write=1.0, c_spec=2.0),
+        weights=LossWeights(psi_shape=PsiShape.ABSOLUTE, phi=2.0**-10),
         redline=RedLineConfig(nu_star=8.0),
     )
 
@@ -802,9 +835,6 @@ class TestRunningPkre:
     @example(
         [(0, big, "same", ()), (1, unit, "same", ()), (0, zero, "same", ())], 0, (1, unit, "same", ())
     )
-    # an inf term replaced by a finite one, after a duplicate feed was turned away
-    @example([(0, inf, "different", feed_of(1, 0.0)), (1, unit, "same", ()),
-              (1, unit, "duplicate", ()), (0, unit, "same", ())], 1, (0, big, "different", ()))
     # half-way ties, rounded to even: 1 + 2**-53 gives 1.0, and once risk 0 is
     # 1 + 2**-52, (1 + 2**-52) + 2**-53 gives 1 + 2**-51
     @example([(0, unit, "same", ()), (1, UnderwritingResult(2.0**-53, 1.0), "same", ()),
@@ -812,9 +842,11 @@ class TestRunningPkre:
     # a subnormal total, from subnormal terms in both sets
     @example([(0, UnderwritingResult(5e-324, 1.0), "different", feed_of(1, 1e-310)),
               (1, UnderwritingResult(1e-310, 3.0), "same", ())], 0, (0, zero, "same", ()))
-    # two finite terms whose sum passes the float range: OverflowError, as compute_pkre
+    # two finite terms whose sum passes the float range, then a duplicate feed:
+    # each round is turned away, naming itself
     @example([(0, UnderwritingResult(1e308, 1.0), "same", ()),
-              (1, UnderwritingResult(1e308, 1.0), "same", ())], 0, (1, zero, "same", ()))
+              (1, UnderwritingResult(1e308, 1.0), "same", ()),
+              (1, unit, "duplicate", ())], 0, (1, zero, "same", ()))
     @settings(max_examples=200, deadline=None)
     def test_records_match_compute_pkre_every_round(self, steps, older_index, extra):
         ledger, feed, history = RoundLedger(), (), []
@@ -832,10 +864,16 @@ class TestRunningPkre:
                 **ledger.imagined, risk: result.to_estimate(risk, ledger.next_round)
             }
             try:
-                expected = compute_pkre(round_feed, list(expected_map.values()))
-            except (ValueError, OverflowError) as exc:  # DomainError is a ValueError
+                expected = fsum_pkre(round_feed, list(expected_map.values()))
+                statistical = statistical_delta_new_risk(
+                    self.config.weights, result.lambda_hat, result.xi_hat,
+                    result.severity_variance,
+                )
+                if not math.isfinite(statistical):
+                    raise ValueError(f"statistical delta {statistical}")
+            except (ValueError, OverflowError):
                 before = (ledger.records, dict(ledger.imagined))
-                with pytest.raises(type(exc)):
+                with pytest.raises(DomainError, match=f"^round {ledger.next_round}: "):
                     self.advance(ledger, step, round_feed)
                 assert (ledger.records, dict(ledger.imagined)) == before
                 continue
@@ -846,9 +884,7 @@ class TestRunningPkre:
             assert list(ledger.imagined.items()) == list(expected_map.items())
             written = (record.pkre.total, record.pkre.observed, record.pkre.imagined,
                        record.pkre.variance)
-            assert pkre_bits(written) == pkre_bits(
-                (expected.total, expected.observed, expected.imagined, expected.variance)
-            )
+            assert pkre_bits(written) == pkre_bits(expected)
         if history:
             # an older ledger, whose running state a later round has moved on
             older = history[older_index % len(history)]
@@ -856,8 +892,8 @@ class TestRunningPkre:
             for start in (older, RoundLedger(records=older.records)):
                 try:
                     outcomes.append(repr(self.advance(start, extra, extra[3])))
-                except (ValueError, OverflowError) as exc:
-                    outcomes.append(type(exc))
+                except ValueError as exc:  # DomainError is a ValueError
+                    outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
 
 
@@ -865,15 +901,16 @@ def test_a_sum_past_the_float_range_raises_what_compute_pkre_raises():
     huge = UnderwritingResult(1e308, 1.0)
     ledger = TestRunningPkre().advance(RoundLedger(), (0, huge), ())
     estimates = [*ledger.imagined.values(), huge.to_estimate("risk-1", 2)]
-    with pytest.raises(OverflowError) as expected:
+    with pytest.raises(DomainError) as expected:
         compute_pkre((), estimates)
-    with pytest.raises(OverflowError, match=f"^{re.escape(str(expected.value))}$"):
+    with pytest.raises(DomainError, match=f"^round 2: {re.escape(str(expected.value))}$"):
         TestRunningPkre().advance(ledger, (1, huge), ())
+    assert len(ledger.records) == 1 and list(ledger.imagined) == ["risk-0"]
 
 
 class TestLinearWork:
     def test_term_evaluations_grow_with_rounds_not_with_the_ledger(self, monkeypatch):
-        from darkspec import engine, estimation
+        from darkspec import estimation
 
         rounds, feed = 300, tuple(
             estimate_from_observation(f"obs-{j}", [1.0 + j, 2.0], 4.0) for j in range(50)
@@ -886,9 +923,8 @@ class TestLinearWork:
                 counts[name] += 1
                 return original(*args, **kwargs)
 
-            # the names both modules call the term functions through
-            for module in (estimation, engine):
-                monkeypatch.setattr(module, name, counted, raising=False)
+            # the names estimation._units calls the term functions through
+            monkeypatch.setattr(estimation, name, counted)
         config = EngineConfig(costs=CostModel.constant(c_write=1.0, c_spec=2.0))
         ledger = RoundLedger()
         for r in range(1, rounds + 1):
@@ -897,7 +933,8 @@ class TestLinearWork:
                 lambda _n, r=r: UnderwritingResult(0.01 * r, 2.0, 0.5),
                 feed, config, RoundBenefits(0.0, 0.0),
             )
-        # every estimate's terms are evaluated, and each at most twice; summing
-        # all of them every round, as the engine once did, takes 60,150 each
+        # every estimate's terms are evaluated exactly once, the feed's too;
+        # summing all of them every round, as the engine once did, takes
+        # 60,150 each
         for name, count in counts.items():
-            assert rounds + len(feed) <= count <= 2 * (rounds + len(feed)), name
+            assert count == rounds + len(feed), name

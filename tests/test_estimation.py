@@ -1,7 +1,8 @@
-"""Frequency/severity estimators, Wald identity, and PKRE assembly."""
+"""The observed-history estimator, Wald identity, and PKRE assembly."""
 
 import io
 import math
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -13,13 +14,12 @@ from darkspec import (
     EstimateSource,
     Exponential,
     LevyComponent,
-    NoEventsError,
+    ParameterError,
     RiskEstimate,
+    UnderwritingResult,
     aggregate,
     compute_pkre,
-    estimate_frequency,
     estimate_from_observation,
-    estimate_severity,
     expected_jump_loss,
     jump_loss_variance,
     sample_paths,
@@ -45,49 +45,51 @@ def underwritten(cid, lam, xi, s2=0.0, window=1.0, round_index=1):
 
 
 class TestFrequency:
+    """The rate of estimate_from_observation: events over the window."""
+
     def test_zero_events(self):
-        est = estimate_frequency(0, 10.0)
-        assert est.rate == 0.0
-        assert est.variance == 0.0
+        est = estimate_from_observation("k", [], 10.0)
+        assert est.lambda_hat == 0.0
+        assert est.severity_variance == 0.0
 
     def test_direct_ratio(self):
-        est = estimate_frequency(10, 5.0)
-        assert est.rate == 2.0
-        assert est.variance == pytest.approx(0.4)
+        assert estimate_from_observation("k", [1.0] * 10, 5.0).lambda_hat == 2.0
 
     def test_bad_window_rejected(self):
-        with pytest.raises(DomainError):
-            estimate_frequency(1, 0.0)
-        with pytest.raises(DomainError):
-            estimate_frequency(-1, 1.0)
+        for window in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                estimate_from_observation("k", [1.0], window)
 
     def test_simulated_poisson_recovery(self):
         rng = np.random.default_rng(2024)
         n = int(rng.poisson(3.0 * 500.0))
-        est = estimate_frequency(n, 500.0)
-        assert abs(est.rate - 3.0) <= 3.0 * math.sqrt(3.0 / 500.0)
+        est = estimate_from_observation("k", [1.0] * n, 500.0)
+        assert abs(est.lambda_hat - 3.0) <= 3.0 * math.sqrt(3.0 / 500.0)
 
 
 class TestSeverity:
+    """The mean severity of estimate_from_observation, with the unbiased s^2."""
+
     def test_constant_sample(self):
-        est = estimate_severity([5.0, 5.0, 5.0])
-        assert est.mean == 5.0
-        assert est.variance == 0.0
+        est = estimate_from_observation("k", [5.0, 5.0, 5.0], 1.0)
+        assert est.xi_hat == 5.0
+        assert est.severity_variance == 0.0
 
     def test_two_point_arithmetic(self):
-        est = estimate_severity([2.0, 4.0])
-        assert est.mean == 3.0
-        assert est.sample_variance == pytest.approx(2.0)
-        assert est.variance == pytest.approx(1.0)
+        est = estimate_from_observation("k", [2.0, 4.0], 1.0)
+        assert est.xi_hat == 3.0
+        assert est.severity_variance == pytest.approx(2.0)
 
     def test_empty_is_an_error_not_zero(self):
-        with pytest.raises(NoEventsError):
-            estimate_severity([])
+        # the mean is undefined, not zero: no estimate of an empty window holds one
+        assert estimate_from_observation("k", [], 10.0).xi_hat is None
+        with pytest.raises(ParameterError):
+            RiskEstimate("k", 0.0, 0.0, 0.0, 10.0, 0, EstimateSource.OBSERVED_HISTORY)
 
     def test_exponential_draws_recover_mean(self):
         draws = np.random.default_rng(7).exponential(2.0, 10_000)
-        est = estimate_severity(draws)
-        assert abs(est.mean - 2.0) <= 3.0 * (2.0 / 100.0)
+        est = estimate_from_observation("k", draws, 1.0)
+        assert abs(est.xi_hat - 2.0) <= 3.0 * (2.0 / 100.0)
 
 
 class TestExpectedJumpLoss:
@@ -190,6 +192,17 @@ class TestRiskEstimateInvariants:
             underwritten("k", 1.0, 2.0, round_index=None)
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lambda_hat", "xi_hat", "severity_variance", "window"])
+    def test_every_float_field_is_finite(self, field, value):
+        fields = {"lambda_hat": 1.0, "xi_hat": 2.0, "severity_variance": 0.5, "window": 1.0}
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            underwritten("k", *fields.values())
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            UnderwritingResult(**fields).to_estimate("k", 1)
+
+
 class TestPkre:
     def test_observed_only_when_imagined_empty(self):
         observed = [estimate_from_observation("a", [2.0, 2.0], 2.0)]
@@ -216,6 +229,16 @@ class TestPkre:
         imagined = [underwritten("x", 0.5, 10.0)]
         result = compute_pkre(observed, imagined)
         assert result.total == pytest.approx(2.0 + 5.0)
+
+    @pytest.mark.parametrize("imagined, message", [
+        ([underwritten("a", 1e300, 1e300)], "^the expected loss of 'a' is inf$"),
+        ([underwritten("a", 0.0, 1e200)], "^the loss variance of 'a' is nan$"),
+        ([underwritten("a", 1e308, 1.0), underwritten("b", 1e308, 1.0)],
+         "^the PKRE passes the largest float$"),
+    ], ids=["term-inf", "term-nan", "sum"])
+    def test_a_value_past_the_float_range_raises(self, imagined, message):
+        with pytest.raises(DomainError, match=message):
+            compute_pkre([], imagined)
 
     def test_variance_totals_sum_per_component(self):
         imagined = [
@@ -327,8 +350,8 @@ class TestConsistency:
                 n_prev += extra
                 sizes_prev = np.concatenate([sizes_prev, sizes_new])
                 t_prev = horizon
-                rate = estimate_frequency(n_prev, horizon).rate
-                xi = estimate_severity(sizes_prev).mean if n_prev else mean * 2
+                est = estimate_from_observation("k", sizes_prev, horizon)
+                rate, xi = est.lambda_hat, est.xi_hat if n_prev else mean * 2
                 errors[horizon] = abs(rate - lam) / lam + abs(xi - mean) / mean
             if errors[1000.0] < errors[10.0]:
                 wins += 1
@@ -365,3 +388,18 @@ class TestCsvRoundTrip:
         write_estimates_csv([estimate_from_observation(cid, [1.0, 3.0], 6.0)], out)
         [loaded] = read_estimates_csv(io.StringIO(out.getvalue(), newline=""))
         assert loaded.component_id == cid
+
+
+def test_every_name_in_all_imports():
+    import darkspec
+
+    public = {name for name, value in vars(darkspec).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert sorted(darkspec.__all__) == sorted(public)
+    namespace = {}
+    exec("from darkspec import *", namespace)
+    assert set(darkspec.__all__) <= namespace.keys()
+    # the second estimator is gone: estimate_from_observation is the one
+    gone = {"estimate_frequency", "estimate_severity", "FrequencyEstimate",
+            "SeverityEstimate", "NoEventsError"}
+    assert not gone & namespace.keys()
