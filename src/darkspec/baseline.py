@@ -2,33 +2,20 @@
 
 A non-speculative analyst detects each imagined risk only with probability
 pi, so their loss estimate is biased low and carries too little variance.
-This module gives the closed-form bias and variance gaps, the
-measurement-error correction, the detection-improvement curve, and the
-staggered-panel frequency estimator. Monte Carlo counterparts live in
-:mod:`darkspec.oracles`.
+This module gives the detection-improvement curve, the staggered-panel
+frequency estimator and the only copy of each gap's closed form: one
+component's bias in :func:`bias_term` and its variance gap, net of
+underwriting noise, in :func:`variance_gap_term`. ``gap-study`` calls both,
+and a gap over several components is the sum of their terms. The Monte Carlo
+counterparts live in :mod:`darkspec.oracles`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import DomainError, ParameterError
-from .estimation import RiskEstimate, expected_jump_loss
-
-
-@dataclass(frozen=True)
-class ConstantDetection:
-    """One fixed detection probability per imagined component."""
-
-    pis: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pis", tuple(float(p) for p in self.pis))
-        for p in self.pis:
-            if not 0.0 <= p <= 1.0:
-                raise ParameterError(f"detection probability must lie in [0, 1], got {p}")
 
 
 @dataclass(frozen=True)
@@ -57,83 +44,29 @@ class ImprovingDetection:
         return self.pi_max - math.exp(-self.psi * (round_index - 1)) * self.pi_1
 
 
-@dataclass(frozen=True)
-class MeasurementError:
-    """Per-component standard deviation of underwriting noise on jump sizes."""
+def bias_term(pi: float, rate: float, mean: float) -> float:
+    """One component's expected shortfall of the non-speculative loss estimate.
 
-    sigma_eps: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma_eps", tuple(float(s) for s in self.sigma_eps))
-        for s in self.sigma_eps:
-            if s < 0.0:
-                raise ParameterError(f"sigma_eps must be >= 0, got {s}")
-
-
-def _check_aligned(estimates: Sequence[RiskEstimate], profile: ConstantDetection) -> None:
-    if not isinstance(profile, ConstantDetection):
-        raise DomainError("gap formulas need a constant-mode detection profile")
-    if len(profile.pis) != len(estimates):
-        raise DomainError(
-            f"profile has {len(profile.pis)} detection probabilities for "
-            f"{len(estimates)} estimates"
-        )
-
-
-def bias_nospec(estimates: Sequence[RiskEstimate], profile: ConstantDetection) -> float:
-    """Expected shortfall of the non-speculative loss estimate.
-
-    Sum over components of (pi_k - 1) * rate_k * mean_k; nonpositive, and
-    zero only under full detection.
+    (pi - 1) * rate * mean: nonpositive for pi in [0, 1], and zero only under
+    full detection. The gap over several components is the sum of the terms.
     """
-    _check_aligned(estimates, profile)
-    return math.fsum(
-        (pi - 1.0) * expected_jump_loss(est)
-        for pi, est in zip(profile.pis, estimates)
-    )
+    return (pi - 1.0) * rate * mean
 
 
-def variance_gap(
-    estimates: Sequence[RiskEstimate],
-    severity_variances: Sequence[float],
-    profile: ConstantDetection,
+def variance_gap_term(
+    pi: float, rate: float, mean: float, var: float, sigma_eps: float, window: float
 ) -> float:
-    """Variance deficit of the non-speculative estimate vs. the PKRE.
+    """One component's variance deficit of the non-speculative estimate vs. the PKRE.
 
-    Sum of (pi_k - 1) * lambda_k * (sigma_k^2 + xi_k^2): the undetected part
-    of each imagined process is missing from every moment, so partial
-    detection understates spread as well as level.
+    (pi - 1) * rate * (mean^2 + var) / window: the undetected part of the
+    imagined process is missing from every moment, so partial detection
+    understates spread as well as level. Speculative loss numbers are never
+    checked against a realized catastrophe, so each recorded jump carries
+    mean-zero noise that inflates the PKRE variance by rate * sigma_eps^2 /
+    window, widening the (negative) gap by the same amount. The gap over
+    several components is the sum of the terms.
     """
-    _check_aligned(estimates, profile)
-    if len(severity_variances) != len(estimates):
-        raise DomainError("severity_variances must align with estimates")
-    terms = []
-    for pi, est, s2 in zip(profile.pis, estimates, severity_variances):
-        xi = est.xi_hat if est.xi_hat is not None else 0.0
-        terms.append((pi - 1.0) * est.lambda_hat * (s2 + xi * xi))
-    return math.fsum(terms)
-
-
-def variance_gap_with_error(
-    estimates: Sequence[RiskEstimate],
-    severity_variances: Sequence[float],
-    profile: ConstantDetection,
-    errors: MeasurementError,
-) -> float:
-    """Variance gap net of underwriting measurement error.
-
-    Speculative loss numbers are never checked against a realized
-    catastrophe, so each recorded jump carries mean-zero noise that inflates
-    the PKRE variance by lambda_k * sigma_eps_k^2, widening the (negative)
-    gap by the same amount.
-    """
-    if len(errors.sigma_eps) != len(estimates):
-        raise DomainError("errors must align with estimates")
-    base = variance_gap(estimates, severity_variances, profile)
-    noise = math.fsum(
-        est.lambda_hat * s * s for est, s in zip(estimates, errors.sigma_eps)
-    )
-    return base - noise
+    return (pi - 1.0) * rate * (mean * mean + var) / window - rate * sigma_eps**2 / window
 
 
 def delta_benefit(

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 from . import oracles
+from .baseline import bias_term, variance_gap_term
 from .config import (
     ExperimentConfig,
     detection_profile,
@@ -254,7 +255,7 @@ def cmd_gap_study(cfg: ExperimentConfig) -> int:
     if cfg.reps < 2:  # the variance oracle's sample variance needs two reps
         raise ConfigError(f"key 'reps' must be >= 2 under gap-study, got {cfg.reps}")
     specs = parse_components(cfg.values, need_variance=True)  # the variance-gap formula
-    profile = detection_profile(specs)  # validates pi before any simulation
+    pis = detection_profile(specs)  # validates pi before any simulation
     window = _as_float(cfg.values, "window", 1.0)
     if not window > 0.0:
         raise ConfigError(f"key 'window' must be > 0, got {cfg.values['window']!r}")
@@ -264,15 +265,14 @@ def cmd_gap_study(cfg: ExperimentConfig) -> int:
     rows = []
     lines = [csv_line(["component_id", "pi", "bias_formula", "bias_mc", "var_gap_formula",
                        "var_gap_mc", "abs_error", "rel_error"])]
-    for offset, (spec, pi) in enumerate(zip(specs, profile.pis)):
-        # bias: component-level thinning against (pi - 1) * rate * mean; the variance
-        # gap, var(thinned) - var(noisy): event-level thinning against
-        # (pi - 1) * rate * (mean^2 + var) / window - rate * sigma_eps^2 / window
+    for offset, (spec, pi) in enumerate(zip(specs, pis)):
+        # bias: component-level thinning against bias_term; the variance gap,
+        # var(thinned) - var(noisy): event-level thinning against variance_gap_term
         component, s_eps = spec.component, spec.sigma_eps
         xi, s2, rate = component.severity.mean(), component.severity.variance(), component.jump_rate
-        bias_formula = (pi - 1.0) * rate * xi
+        bias_formula = bias_term(pi, rate, xi)
         bias = oracles.bias_thinning_mc([rate * xi], [pi], cfg.reps, cfg.seed + 2 * offset)
-        var_formula = (pi - 1.0) * rate * (xi * xi + s2) / window - rate * s_eps**2 / window
+        var_formula = variance_gap_term(pi, rate, xi, s2, s_eps, window)
         mc = oracles.variance_gap_mc([rate], [component.severity], [pi], window, cfg.reps,
                                      cfg.seed + 2 * offset + 1, [s_eps])
         var_mc = mc.nospec_variance - mc.noisy_variance

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .baseline import ConstantDetection
 from .engine import (
     CostModel,
     EngineConfig,
@@ -237,14 +236,16 @@ def parse_components(
     return specs
 
 
-def detection_profile(specs: list[ComponentSpec]) -> ConstantDetection:
+def detection_profile(specs: list[ComponentSpec]) -> tuple[float, ...]:
+    """Each component's detection probability pi, checked to lie in [0, 1]."""
     for spec in specs:
-        cid = spec.component.component_id
-        if spec.pi is None:
+        cid, pi = spec.component.component_id, spec.pi
+        if pi is None:
             raise ConfigError(f"component {cid!r} needs a 'pi' for a gap study")
-        with naming_keys(f"component.{cid}.pi"):
-            ConstantDetection((spec.pi,))  # checks this pi alone, so the error names its key
-    return ConstantDetection(tuple(spec.pi for spec in specs))
+        if not 0.0 <= pi <= 1.0:
+            raise ConfigError(f"key 'component.{cid}.pi': detection probability must lie "
+                              f"in [0, 1], got {pi}")
+    return tuple(spec.pi for spec in specs)
 
 
 def engine_config(values: Mapping[str, str]) -> EngineConfig:

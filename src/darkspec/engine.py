@@ -671,6 +671,14 @@ def append_record(record: RoundRecord, path: str | Path, previous: RoundRecord |
         out.write(_ledger_line(record, previous))
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+# what write_ledger's allow_nan=False refuses to write, read_ledger refuses to read
+_LEDGER_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def read_ledger(path: str | Path) -> RoundLedger:
     """Load a ledger; a line that is not a valid record raises DomainError at path:line."""
     records = []
@@ -678,7 +686,7 @@ def read_ledger(path: str | Path) -> RoundLedger:
         for number, line in enumerate(source, start=1):
             try:
                 if line.strip():  # blank lines are skipped
-                    data = json.loads(line.decode("utf-8"))
+                    data = _LEDGER_DECODER.decode(line.decode("utf-8"))
                     records.append(_record_from_line(data, records[-1] if records else None))
             except (KeyError, TypeError, ValueError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc

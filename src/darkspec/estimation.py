@@ -130,36 +130,22 @@ def jump_loss_variance(
     xi_hat: float,
     severity_variance: float,
     window: float,
-    *,
-    form: str = "mgf",
 ) -> float:
     """Sampling variance of the per-unit-time loss estimate.
 
-    The default ``mgf`` form is rate * (mean^2 + variance) / window, the
-    compound-process second moment. ``form="literal"`` switches to
-    rate * (mean + variance) / window, an alternative first-power form kept
-    selectable for comparison; the two are deliberately not reconciled.
+    rate * (mean^2 + variance) / window, the compound-process second moment.
     """
     if window <= 0.0:
         raise DomainError(f"window must be > 0, got {window}")
-    if form == "mgf":
-        return lambda_hat * (xi_hat * xi_hat + severity_variance) / window
-    if form == "literal":
-        return (lambda_hat * xi_hat + lambda_hat * severity_variance) / window
-    raise DomainError(f"unknown variance form {form!r}; expected 'mgf' or 'literal'")
+    return lambda_hat * (xi_hat * xi_hat + severity_variance) / window
 
 
-def estimate_loss_variance(estimate: RiskEstimate, *, form: str = "mgf") -> float:
+def estimate_loss_variance(estimate: RiskEstimate) -> float:
     """Loss variance of one estimate; zero-event windows contribute zero."""
     if estimate.xi_hat is None:
         return 0.0
-    return jump_loss_variance(
-        estimate.lambda_hat,
-        estimate.xi_hat,
-        estimate.severity_variance,
-        estimate.window,
-        form=form,
-    )
+    return jump_loss_variance(estimate.lambda_hat, estimate.xi_hat,
+                              estimate.severity_variance, estimate.window)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Monte Carlo counterparts of the closed-form gap results.
 
-Two thinning mechanisms, matching what each formula actually describes:
+The closed forms live only in :mod:`darkspec.baseline`, as the per-component
+terms ``bias_term`` and ``variance_gap_term``. Two thinning mechanisms,
+matching what each term actually describes:
 
 * bias: the analyst either sees an imagined component or misses it wholesale,
   so each replication includes component k's full loss rate with probability

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from darkspec import Exponential, bias_term, variance_gap_term
 from darkspec.cli import ReportRow, main, write_report_csv
 from darkspec.config import engine_config, load_config_file, parse_components
 from darkspec.engine import read_ledger, replay_ledger, write_ledger
@@ -391,11 +393,36 @@ class TestGapStudy:
         assert "[FAIL] a.var_gap: formula=-inf" in out
         assert code == 1
 
-    def test_scenario_matches_the_fixtures(self, tmp_path):
-        assert main(["gap-study", "--config", str(GAP_SCENARIO), "--out", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("window, fixtures", [
+        ("1.0", "gap_study"),
+        # at window 7 each nearby operand order of the variance gap gives other bits
+        ("7.0", "gap_study_window7"),
+    ], ids=["window-1", "window-7"])
+    def test_scenario_matches_the_fixtures(self, tmp_path, window, fixtures):
+        text = re.sub(r"^window = .*$", f"window = {window}", GAP_SCENARIO.read_text(),
+                      flags=re.MULTILINE)
+        cfg = write_config(tmp_path / "gap.cfg", text)
+        assert main(["gap-study", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         for name in ("gap_report.csv", "gap_summary.csv"):
-            fixture = REPO_ROOT / "tests" / "data" / "gap_study" / name
-            assert (tmp_path / name).read_bytes() == fixture.read_bytes()
+            fixture = REPO_ROOT / "tests" / "data" / fixtures / name
+            assert (tmp_path / "out" / name).read_bytes() == fixture.read_bytes()
+
+    def test_window_four_writes_the_library_terms(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            "window = 4.0\n"
+            "component.a.jump_rate = 3.0\ncomponent.a.severity = exponential\n"
+            "component.a.severity_mean = 2.0\ncomponent.a.pi = 0.25\n"
+            "component.a.sigma_eps = 0.5\n",
+        )
+        assert main(["gap-study", "--config", cfg, "--reps", "1000", "--seed", "3",
+                     "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "gap_report.csv") as fh:
+            row = list(csv.DictReader(fh))[0]
+        severity = Exponential.from_mean(2.0)
+        mean, var = severity.mean(), severity.variance()
+        assert row["bias_formula"] == repr(bias_term(0.25, 3.0, mean))
+        assert row["var_gap_formula"] == repr(variance_gap_term(0.25, 3.0, mean, var, 0.5, 4.0))
 
     def test_malformed_pi_fails_before_simulation(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", GAP_BAD_PI)
@@ -783,6 +810,8 @@ class TestBadInput:
              "component.b.severity_value = 4.0\ncomponent.b.pi = 0.75\n"
              "component.b.sigma_eps = -1.0\n", None, "component.b.sigma_eps"),
             ("gap-study", GAP_BAD_PI, None, "component.a.pi"),
+            ("gap-study", GAP_BAD_PI.replace("pi = 1.5", "pi = -0.1"), None,
+             ("key 'component.a.pi': detection probability must lie in [0, 1], got -0.1")),
             ("stopping", STOPPING_GEOMETRIC.replace("c_write = 1.0", "c_write = -1.0")
              .replace("rho = 1.0", "rho = 0.9"), None, "cost.c_write"),
             ("run-process", RUN_PROCESS.replace("c_write = 1.0", "c_write = -1.0"), "atlanta",
@@ -817,7 +846,7 @@ class TestBadInput:
             "utilities-inf", "utilities-overflow", "deltas-overflow", "rho-2", "rho-0", "window-0", "delta-overflow",
             "delta-inf", "cost-inf", "estimate-horizon-1e308", "estimate-jump-rate-1e9",
             "simulate-jump-rate-1e9", "gap-study-jump-rate-1e9", "sigma-eps-negative",
-            "pi-1.5", "stopping-c-write-negative", "run-process-c-write-negative",
+            "pi-1.5", "pi-negative", "stopping-c-write-negative", "run-process-c-write-negative",
             "weights-d1-negative", "diffusion-negative", "pareto-shape-0.5",
             "utilities-with-r-max", "utilities-with-delta-initial", "observed-csv-empty",
             "observed-csv-directory", "unknown-stopping-key", "unknown-component-field",

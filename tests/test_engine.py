@@ -577,6 +577,18 @@ class TestLedgerPersistence:
         with pytest.raises(ValueError, match="not JSON compliant"):
             write_ledger(RoundLedger(records=(record,)), tmp_path / "ledger.jsonl")
 
+    @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+    def test_a_value_that_is_not_finite_is_never_read(self, tmp_path, constant):
+        ledger, _ = self.build_ledger()
+        path = tmp_path / "ledger.jsonl"
+        write_ledger(ledger, path)
+        first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        first["deltas"]["mitigation"] = float(constant)  # json.dumps writes it bare
+        path.write_text(json.dumps(first) + "\n", encoding="utf-8")
+        expected = f"^{re.escape(str(path))}:1: {constant} is not RFC 8259 JSON$"
+        with pytest.raises(DomainError, match=expected):
+            read_ledger(path)
+
     def test_first_line_has_no_feed_to_carry(self, tmp_path):
         ledger, _ = self.build_ledger()
         path = tmp_path / "ledger.jsonl"

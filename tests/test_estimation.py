@@ -132,11 +132,8 @@ class TestJumpLossVariance:
         assert jump_loss_variance(1.0, 2.0, 0.0, 1.0) == 4.0
 
     def test_literal_form_flag(self):
-        # default second-moment form vs the published first-power variant
+        # the second-moment form rate * (mean^2 + var) / window is the only one
         assert jump_loss_variance(2.0, 3.0, 9.0, 10.0) == pytest.approx(3.6)
-        assert jump_loss_variance(2.0, 3.0, 9.0, 10.0, form="literal") == pytest.approx(2.4)
-        with pytest.raises(DomainError):
-            jump_loss_variance(1.0, 1.0, 1.0, 1.0, form="other")
 
     def test_bad_window(self):
         with pytest.raises(DomainError):
