@@ -175,7 +175,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     for spec, blocks in zip(specs, per_component):
         component = spec.component
         terminals = np.concatenate([block.terminal_values for block in blocks])
-        moments = theoretical_moments(component, horizon)
+        mean, variance = theoretical_moments(component, horizon)
         emp_mean = float(np.mean(terminals))
         se = (
             float(np.std(terminals, ddof=1) / math.sqrt(cfg.reps))
@@ -185,7 +185,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         rows.append(
             ReportRow(
                 name=f"{component.component_id}.mean",
-                formula_value=moments.mean,
+                formula_value=mean,
                 oracle_value=emp_mean,
                 tolerance=3.0 * se,
             )
@@ -195,9 +195,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             rows.append(
                 ReportRow(
                     name=f"{component.component_id}.variance",
-                    formula_value=moments.variance,
+                    formula_value=variance,
                     oracle_value=emp_var,
-                    tolerance=cfg.tolerance * abs(moments.variance),
+                    tolerance=cfg.tolerance * abs(variance),
                 )
             )
     return _write_report(rows, cfg, start, "moment_report.csv", "simulate")
@@ -252,8 +252,12 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
 
 def cmd_gap_study(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    if cfg.reps < 2:  # the variance oracle's sample variance needs two reps
-        raise ConfigError(f"key 'reps' must be >= 2 under gap-study, got {cfg.reps}")
+    # the variance oracle's sample variance needs two reps; the bias oracle
+    # counts them in an int64
+    if not 2 <= cfg.reps <= 2**63 - 1:
+        raise ConfigError(
+            f"key 'reps' must be from 2 to 2**63 - 1 under gap-study, got {cfg.reps}"
+        )
     specs = parse_components(cfg.values, need_variance=True)  # the variance-gap formula
     pis = detection_profile(specs)  # validates pi before any simulation
     window = _as_float(cfg.values, "window", 1.0)
@@ -424,26 +428,25 @@ def cmd_stopping(cfg: ExperimentConfig) -> int:
             )
         keys = ("stopping.rho", "stopping.delta_initial", "stopping.delta_decay")
     with naming_keys(*keys):
-        result = optimal_stopping_brute(utilities, rho)
+        tau_star, values = optimal_stopping_brute(utilities, rho)
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "stopping.csv", "w", encoding="utf-8") as out:
         out.write(csv_line(["round", "utility", "value_if_stop_here"]))
         for r, u in enumerate(utilities, start=1):
-            out.write(csv_line([r, repr(u), repr(result.values[r])]))
-    print(f"tau_star = {result.tau_star} (horizon {len(utilities)}, rho={rho})")
+            out.write(csv_line([r, repr(u), repr(values[r])]))
+    print(f"tau_star = {tau_star} (horizon {len(utilities)}, rho={rho})")
     rows = []
     if costs is not None and rho == 1.0:
         completed = 0
         for r, delta in enumerate(deltas, start=1):
             # constant costs do not read the happening count
-            gate = continuation(costs, 1, r, RoundDeltas(delta, 0.0, 0.0))
-            if not gate.continue_:
+            if not continuation(costs, 1, r, RoundDeltas(delta, 0.0, 0.0)):
                 break
             completed = r
         rows.append(
             ReportRow(
                 name="gate_vs_brute",
-                formula_value=float(result.tau_star),
+                formula_value=float(tau_star),
                 oracle_value=float(completed),
                 tolerance=0.0,
             )

@@ -158,31 +158,21 @@ class RoundDeltas:
         return self.statistical + self.mitigation + self.option
 
 
-@dataclass(frozen=True)
-class GateDecision:
-    continue_: bool
-    lhs: float
-
-    @property
-    def decision(self) -> str:
-        return "continue" if self.continue_ else "stop"
-
-
 def continuation(
     costs: CostModel,
     happening_count: int,
     round_index: int,
     deltas: RoundDeltas,
-) -> GateDecision:
-    """Speculate iff c_write + the cost model's speculation cost (plus the
-    concave crowding term ln(R + 2) - ln(R + 1) in variable-cost mode) <=
+) -> bool:
+    """True (speculate) iff c_write + the cost model's speculation cost (plus
+    the concave crowding term ln(R + 2) - ln(R + 1) in variable-cost mode) <=
     summed deltas. A stop is reversible; a later round may continue again."""
     if round_index < 1:
         raise DomainError(f"round index must be >= 1, got {round_index}")
     lhs = costs.c_write + costs.speculation_cost(happening_count)
     if costs.variable:
         lhs += math.log(round_index + 2) - math.log(round_index + 1)
-    return GateDecision(continue_=lhs <= deltas.total, lhs=lhs)
+    return lhs <= deltas.total
 
 
 def statistical_delta_new_risk(
@@ -211,14 +201,6 @@ def statistical_delta_new_risk(
 
 
 @dataclass(frozen=True)
-class HyperEstimate:
-    """An overanxious round's maximal-loss parameters."""
-
-    lambda_dot: float
-    z_dot: float
-
-
-@dataclass(frozen=True)
 class RedLineConfig:
     nu_star: float
 
@@ -234,12 +216,15 @@ def red_line_check(total: float, config: RedLineConfig) -> bool:
 
 def hyperanxiety_avoidance(
     pi: float,
-    hyper: HyperEstimate,
+    lambda_dot: float,
+    z_dot: float,
     prior_pkre: float,
     config: RedLineConfig,
     round_index: int,
 ) -> bool:
-    """Whether partial detection saves the analyst from a spurious red line.
+    """Whether partial detection saves the analyst from a spurious red line,
+    given an overanxious round's maximal-loss rate ``lambda_dot`` and jump
+    size ``z_dot``.
 
     Evaluates 1 - pi > (lambda_dot * z_dot - prior) / R - nu_star literally;
     the left side is a probability and the right a loss-scaled quantity, a
@@ -247,7 +232,7 @@ def hyperanxiety_avoidance(
     """
     if round_index < 1:
         raise DomainError(f"round index must be >= 1, got {round_index}")
-    rhs = (hyper.lambda_dot * hyper.z_dot - prior_pkre) / round_index - config.nu_star
+    rhs = (lambda_dot * z_dot - prior_pkre) / round_index - config.nu_star
     return (1.0 - pi) > rhs
 
 
@@ -273,17 +258,14 @@ def community_precision_condition(
 MAX_STOPPING_HORIZON = 30
 
 
-@dataclass(frozen=True)
-class StoppingResult:
-    tau_star: int
-    values: tuple[float, ...]  # values[r] = discounted value of stopping after round r
-
-
-def optimal_stopping_brute(utilities: Sequence[float], rho: float) -> StoppingResult:
+def optimal_stopping_brute(
+    utilities: Sequence[float], rho: float
+) -> tuple[int, tuple[float, ...]]:
     """Exhaustive search over stop-after-r policies at desk scale.
 
     Value of stopping after round r is sum_{s<=r} rho^(s-1) u_s (r = 0 means
-    stop immediately, value 0). Returns the earliest maximizing round.
+    stop immediately, value 0). Returns ``(tau_star, values)``: the earliest
+    maximizing round, and ``values[r]`` for r = 0 .. len(utilities).
     """
     horizon = len(utilities)
     if not 1 <= horizon <= MAX_STOPPING_HORIZON:
@@ -304,7 +286,7 @@ def optimal_stopping_brute(utilities: Sequence[float], rho: float) -> StoppingRe
         values.append(running)
         discount *= rho
     best = max(range(horizon + 1), key=lambda r: (values[r], -r))
-    return StoppingResult(tau_star=best, values=tuple(values))
+    return best, tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +538,6 @@ def _next_record(
         writing=costs.c_write,
         observation=costs.c_obs if sponsored else 0.0,
     )
-    gate = continuation(costs, happening_count, round_index, deltas)
 
     red_line = (
         red_line_check(pkre.total, config.redline) if config.redline else None
@@ -574,7 +555,9 @@ def _next_record(
         pkre=pkre,
         costs=paid,
         deltas=deltas,
-        decision=gate.decision,
+        decision=(
+            "continue" if continuation(costs, happening_count, round_index, deltas) else "stop"
+        ),
         red_line=red_line,
     )
     state.imagined[risk_id] = estimate
@@ -680,14 +663,18 @@ _LEDGER_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def read_ledger(path: str | Path) -> RoundLedger:
-    """Load a ledger; a line that is not a valid record raises DomainError at path:line."""
+    """Load a ledger; a line that is not a valid record, or whose underwriting
+    estimate is bad or has a loss term that is not finite, raises DomainError
+    at path:line."""
     records = []
     with open(path, "rb") as source:  # decoded per line, so a bad byte has a line too
         for number, line in enumerate(source, start=1):
             try:
                 if line.strip():  # blank lines are skipped
                     data = _LEDGER_DECODER.decode(line.decode("utf-8"))
-                    records.append(_record_from_line(data, records[-1] if records else None))
+                    record = _record_from_line(data, records[-1] if records else None)
+                    _units((record.underwriting.to_estimate(record.risk_id, record.round),))
+                    records.append(record)
             except (KeyError, TypeError, ValueError) as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                 raise DomainError(f"{path}:{number}: {detail}") from exc

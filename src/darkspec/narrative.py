@@ -624,25 +624,18 @@ def find_pivots(narrative: Narrative) -> tuple[Pivot, ...]:
     return tuple(pivots)
 
 
-@dataclass(frozen=True)
-class MitigationOutcome:
-    baseline_loss: float
-    mitigated_loss: float
-    reduction: float
-    pivot: Pivot
-    variant: Narrative
-
-
 def apply_mitigation(
     narrative: Narrative,
     pivot: Pivot,
     baseline_estimate: RiskEstimate,
     mitigated_estimate: RiskEstimate,
-) -> MitigationOutcome:
-    """Replace the pivotal happening with its averted alternative.
+) -> Narrative:
+    """Replace the pivotal happening with its averted alternative, and return
+    the variant narrative.
 
-    The mitigated expected loss must be strictly below the baseline;
-    anything else raises. The returned variant de-actualizes the pivotal
+    A ``pivot`` not among ``find_pivots(narrative)`` raises DomainError. The
+    mitigated expected loss must be strictly below the baseline, or
+    MitigationInvalidError is raised. The variant de-actualizes the pivotal
     happening and splices an actualized alternative into the chain.
     """
     if pivot not in find_pivots(narrative):
@@ -690,7 +683,7 @@ def apply_mitigation(
         for hid, members in narrative.participants.items()
         for actor_id in members
     ]
-    variant = build_narrative(
+    return build_narrative(
         round_index=narrative.round,
         risk_id=narrative.risk_id,
         happenings=new_happenings,
@@ -699,13 +692,6 @@ def apply_mitigation(
         edges=new_edges,
         pivots=[p for p in narrative.pivots if p.happening_id != old.happening_id],
         actor_at=actor_at,
-    )
-    return MitigationOutcome(
-        baseline_loss=baseline_loss,
-        mitigated_loss=mitigated_loss,
-        reduction=baseline_loss - mitigated_loss,
-        pivot=pivot,
-        variant=variant,
     )
 
 

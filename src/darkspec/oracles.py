@@ -62,8 +62,8 @@ def bias_thinning_mc(
     import numpy as np
     if len(loss_rates) != len(pis):
         raise DomainError("loss_rates and pis must align")
-    if reps < 1:
-        raise DomainError("reps must be >= 1")
+    if not 1 <= reps <= 2**63 - 1:  # the inclusion cells count reps in an int64
+        raise DomainError(f"reps must be from 1 to 2**63 - 1, got {reps}")
     if not all(0.0 <= pi <= 1.0 for pi in pis):  # also rejects NaN before any draw
         raise DomainError(f"every pi must lie in [0, 1], got {list(pis)!r}")
     counts, gaps = _inclusion_cells(loss_rates, pis, reps, np.random.default_rng(seed))

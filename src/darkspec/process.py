@@ -9,6 +9,9 @@ in any order or in parallel. :func:`simulate_block` draws a block of paths
 from one generator, :func:`sample_path` is its one-path case, and
 :func:`sample_blocks` is the one stream of n paths under a root seed, its
 blocks seeded by :func:`derive_seed` so that they are order-independent.
+A block holds its paths in flat arrays; :meth:`PathBlock.paths` views them
+as one :class:`PathSample` per path. :func:`theoretical_moments` gives the
+closed-form ``(mean, variance)`` a terminal value is checked against.
 
 Numpy is imported inside the functions that use it, never at module level,
 here as in every darkspec module, so commands that draw nothing start without it.
@@ -102,21 +105,6 @@ class PathSample:
     def jump_count(self) -> int:
         return len(self.jump_times)
 
-    def reconstruct_terminal(self, component: LevyComponent) -> float:
-        """Recompute the terminal value from stored fields; must equal
-        ``terminal_value`` bit for bit."""
-        import numpy as np
-        sizes = np.asarray(self.jump_sizes, dtype=float)
-        terminals = _terminal_values(
-            component.drift,
-            component.diffusion,
-            self.horizon - component.commencement,
-            np.array([self.brownian_terminal], dtype=float),
-            sizes,
-            np.array([len(sizes)]),
-        )
-        return float(terminals[0])
-
 
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum of each run of ``counts[i]`` consecutive values, 0.0 for an empty run.
@@ -142,8 +130,8 @@ def _terminal_values(
     jump_sizes: np.ndarray,
     counts: np.ndarray,
 ) -> np.ndarray:
-    # single expression shared by simulation and reconstruction so the
-    # "exact reconstruction" invariant holds bitwise
+    # the one expression for a terminal value: recomputing one path's from
+    # its slice of a block gives the block's value bit for bit
     return drift * elapsed + diffusion * brownian - _segment_sums(jump_sizes, counts)
 
 
@@ -261,14 +249,6 @@ def sample_blocks(
     )
 
 
-def sample_paths(
-    component: LevyComponent, horizon: float, root_seed: int, n_paths: int
-) -> list[PathSample]:
-    """The paths of :func:`sample_blocks`, in order."""
-    blocks = sample_blocks(component, horizon, root_seed, n_paths)
-    return [path for block in blocks for path in block.paths()]
-
-
 def aggregate(components: Sequence[LevyComponent]) -> LevyComponent:
     """Sum independent components with a common commencement into one.
 
@@ -312,14 +292,8 @@ def aggregate(components: Sequence[LevyComponent]) -> LevyComponent:
     )
 
 
-@dataclass(frozen=True)
-class MomentSummary:
-    mean: float
-    variance: float
-
-
-def theoretical_moments(component: LevyComponent, horizon: float) -> MomentSummary:
-    """Closed-form mean and variance of the terminal value.
+def theoretical_moments(component: LevyComponent, horizon: float) -> tuple[float, float]:
+    """Closed-form ``(mean, variance)`` of the terminal value.
 
     mean = drift * dt - rate * dt * E[Z]; variance = diffusion^2 * dt +
     rate * dt * E[Z^2]. Raises if the severity variance is undefined.
@@ -333,7 +307,7 @@ def theoretical_moments(component: LevyComponent, horizon: float) -> MomentSumma
     second = component.severity.second_moment()
     mean = component.drift * dt - component.jump_rate * dt * xi
     variance = component.diffusion**2 * dt + component.jump_rate * dt * second
-    return MomentSummary(mean=mean, variance=variance)
+    return mean, variance
 
 
 _PATH_CSV_HEADER = ["component_id", "path_index", "jump_time", "jump_size", "terminal_value"]

@@ -188,6 +188,12 @@ class TestOracleDraws:
         with pytest.raises(DomainError):
             bias_thinning_mc([1.0, 2.0], [0.5, pi], 1_000, 4)
 
+    @pytest.mark.parametrize("reps", [0, 2**63])
+    def test_bias_oracle_rejects_bad_reps_before_any_draw(self, reps, no_draws):
+        # the inclusion cells count reps in an int64
+        with pytest.raises(DomainError, match="reps"):
+            bias_thinning_mc([1.0, 2.0], [0.5, 0.5], reps, 4)
+
     def test_block_jump_counts_are_poisson(self):
         # unit sizes, full detection, no noise: a block's full sums are its
         # per-rep counts of the uniform owners; chi-square against

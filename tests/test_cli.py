@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, determinism, file outputs."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from darkspec.engine import read_ledger, replay_ledger, write_ledger
 from darkspec.estimation import estimate_from_observation, write_estimates_csv
 from darkspec.oracles import ORACLE_BLOCK
 from darkspec.process import (
-    PATH_BLOCK, derive_seed, sample_paths, simulate_block, write_paths_csv,
+    PATH_BLOCK, derive_seed, sample_blocks, simulate_block, write_paths_csv,
 )
 
 
@@ -284,11 +285,12 @@ class TestLibraryStreams:
             expected,
         )
         assert (out / "paths.csv").read_bytes() == expected.getvalue().encode("utf-8")
-        # the library's sample_paths is the same stream, components in id order
+        # the library's sample_blocks is the same stream, components in id order
         library = io.StringIO()
         write_paths_csv(
             [path for component in components
-             for path in sample_paths(component, self.HORIZON, self.SEED, self.REPS)],
+             for block in sample_blocks(component, self.HORIZON, self.SEED, self.REPS)
+             for path in block.paths()],
             library,
         )
         assert (out / "paths.csv").read_bytes() == library.getvalue().encode("utf-8")
@@ -597,6 +599,23 @@ class TestRunProcess:
         assert record["pkre"]["total"] == 5.0
 
 
+class TestSimulateScenario:
+    """What simulate and estimate write for ``scenarios/simulate.cfg``: the
+    three CSVs against fixtures, paths.csv (1.78 MB) by its SHA-256."""
+
+    PATHS_SHA256 = "7aa41353f9ec8772a1614e195d80dec99451e6dd5a9cbd6b28cf88ab8af073b2"
+
+    def test_scenario_matches_the_fixtures(self, tmp_path):
+        for command in ("simulate", "estimate"):
+            assert main([command, "--config", str(REPO_ROOT / "scenarios" / "simulate.cfg"),
+                         "--out", str(tmp_path)]) == 0
+        for name in ("moment_report.csv", "estimates.csv", "estimate_report.csv"):
+            fixture = REPO_ROOT / "tests" / "data" / "simulate" / name
+            assert (tmp_path / name).read_bytes() == fixture.read_bytes()
+        digest = hashlib.sha256((tmp_path / "paths.csv").read_bytes()).hexdigest()
+        assert digest == self.PATHS_SHA256
+
+
 class TestReadmeExample:
     """The README's ``run-process`` example writes ``ledger_example.jsonl``,
     where rounds 3 and 4 re-speculate the risks of rounds 1 and 2. The v1
@@ -752,6 +771,8 @@ def expect_one_error_line(capsys, argv, *names):
     for name in names:
         assert name in err
     assert "Traceback" not in err
+    # main's last resort for an unforeseen fault names the exception's type
+    assert not re.match(r"^error: \w+(Error|Exception): ", err)
 
 
 class TestBadInput:
@@ -788,6 +809,9 @@ class TestBadInput:
              "stopping.rho"),
             ("gap-study", GAP_FULL_DETECTION.replace("window = 1.0", "window = 0"), None,
              "'window'"),
+            # past the int64 the bias oracle counts reps in
+            ("gap-study", GAP_FULL_DETECTION + "reps = 100000000000000000000\n", None,
+             "'reps'"),
             ("stopping", STOPPING_GEOMETRIC.replace("= 20", "= 3")
              .replace("= 10.0", "= 1e300").replace("= 0.5", "= 1e200"), None,
              "stopping.delta_initial"),
@@ -843,7 +867,8 @@ class TestBadInput:
             "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
             "config-utf8", "jump-rate-nan", "horizon-nan", "drift-inf", "tolerance-key-inf",
             "r-max-31", "r-max-million", "r-max-fraction", "utilities-31", "utilities-nan",
-            "utilities-inf", "utilities-overflow", "deltas-overflow", "rho-2", "rho-0", "window-0", "delta-overflow",
+            "utilities-inf", "utilities-overflow", "deltas-overflow", "rho-2", "rho-0", "window-0",
+            "gap-study-reps-1e20", "delta-overflow",
             "delta-inf", "cost-inf", "estimate-horizon-1e308", "estimate-jump-rate-1e9",
             "simulate-jump-rate-1e9", "gap-study-jump-rate-1e9", "sigma-eps-negative",
             "pi-1.5", "pi-negative", "stopping-c-write-negative", "run-process-c-write-negative",
@@ -967,7 +992,8 @@ class TestBadInput:
         monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
         cfg = write_config(tmp_path / "c.cfg", SIMULATE_DETERMINISTIC)
         argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
-        expect_one_error_line(capsys, argv, "error: RuntimeError: kernel fault")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: RuntimeError: kernel fault\n"
 
     @pytest.mark.parametrize("command, config, reps, expected, window_key", [
         # component a expects 2.0 * 50.0 * 3 = 300 jumps

@@ -21,7 +21,6 @@ from darkspec import (
     EngineConfig,
     EstimateSource,
     Happening,
-    HyperEstimate,
     LossWeights,
     NarrativeEdge,
     NarrativeInvalidError,
@@ -122,24 +121,21 @@ class TestStatisticalLoss:
 class TestConstantGate:
     def test_zero_costs_would_continue(self):
         costs = CostModel.constant(c_write=1e-9, c_spec=1e-9)
-        gate = continuation(
+        assert continuation(
             costs, 1, 1, RoundDeltas(statistical=1.0, mitigation=0.0, option=0.0)
         )
-        assert gate.continue_
 
     def test_zero_deltas_positive_costs_stop(self):
         costs = CostModel.constant(c_write=1.0, c_spec=1.0)
-        gate = continuation(
+        assert not continuation(
             costs, 1, 1, RoundDeltas(statistical=0.0, mitigation=0.0, option=0.0)
         )
-        assert not gate.continue_
-        assert gate.decision == "stop"
 
     def test_geometric_deltas_first_stop_matches_scan(self):
         # deltas 10 * 0.5^r against cost 2: first refusal where 10*0.5^r < 2
         costs = CostModel.constant(c_write=1.0, c_spec=1.0)
         decisions = [
-            continuation(costs, 1, r, RoundDeltas(10.0 * 0.5**r, 0.0, 0.0)).continue_
+            continuation(costs, 1, r, RoundDeltas(10.0 * 0.5**r, 0.0, 0.0))
             for r in range(1, 21)
         ]
         first_stop = decisions.index(False) + 1
@@ -171,10 +167,8 @@ class TestVariableGate:
         costs = CostModel.variable_cost(c_write=1.0)
         deltas = RoundDeltas(statistical=2.0, mitigation=0.5, option=0.25)
         for h_r, round_index in ((1, 1), (3, 2), (9, 5)):
-            gate = continuation(costs, h_r, round_index, deltas)
             lhs = 1.0 + math.log1p(h_r) + (math.log(round_index + 2) - math.log(round_index + 1))
-            assert gate.continue_ == (lhs <= 2.75)
-            assert gate.lhs == lhs
+            assert continuation(costs, h_r, round_index, deltas) == (lhs <= 2.75)
 
     def test_bad_inputs_rejected(self):
         costs = CostModel.variable_cost(c_write=1.0)
@@ -188,7 +182,8 @@ class TestVariableGate:
 
 class TestGateLhs:
     """The gate's left side is summed in one order in both cost modes, so a
-    reordered sum, which can differ in the last bit, fails here."""
+    reordered sum, which can differ in the last bit, fails here: the gate
+    continues when the deltas equal that sum, and stops one float below it."""
 
     @given(
         c_write=st.floats(1e-6, 1e6),
@@ -198,16 +193,16 @@ class TestGateLhs:
     )
     @settings(max_examples=300, deadline=None)
     def test_lhs_bits(self, c_write, c_spec, happening_count, round_index):
-        deltas = RoundDeltas(1.0, 0.0, 0.0)
-        constant = continuation(
-            CostModel.constant(c_write, c_spec), happening_count, round_index, deltas
-        )
-        assert constant.lhs == c_write + c_spec
-        variable = continuation(
-            CostModel.variable_cost(c_write), happening_count, round_index, deltas
-        )
         crowding = math.log(round_index + 2) - math.log(round_index + 1)
-        assert variable.lhs == c_write + math.log1p(happening_count) + crowding
+        for costs, lhs in (
+            (CostModel.constant(c_write, c_spec), c_write + c_spec),
+            (CostModel.variable_cost(c_write), c_write + math.log1p(happening_count) + crowding),
+        ):
+            at = RoundDeltas(lhs, 0.0, 0.0)
+            assert at.total == lhs
+            assert continuation(costs, happening_count, round_index, at)
+            below = RoundDeltas(math.nextafter(lhs, -math.inf), 0.0, 0.0)
+            assert not continuation(costs, happening_count, round_index, below)
 
     @pytest.mark.parametrize(
         "costs", [CostModel.constant(1.0, 1.0), CostModel.variable_cost(1.0)],
@@ -245,18 +240,16 @@ class TestHyperanxiety:
     config = RedLineConfig(nu_star=50.0)
 
     def test_huge_threshold_always_avoided(self):
-        hyper = HyperEstimate(lambda_dot=1.0, z_dot=1.0)
-        assert hyperanxiety_avoidance(0.0, hyper, 0.0, self.config, 1)
+        assert hyperanxiety_avoidance(0.0, 1.0, 1.0, 0.0, self.config, 1)
 
     def test_full_detection_avoids_iff_rhs_negative(self):
-        hyper = HyperEstimate(lambda_dot=10.0, z_dot=10.0)
         config = RedLineConfig(nu_star=1.0)
         # pi = 1 makes the left side exactly 0
-        assert hyperanxiety_avoidance(1.0, hyper, 0.0, config, 2) == (
+        assert hyperanxiety_avoidance(1.0, 10.0, 10.0, 0.0, config, 2) == (
             (10.0 * 10.0 - 0.0) / 2 - 1.0 < 0.0
         )
-        assert not hyperanxiety_avoidance(1.0, hyper, 0.0, config, 2)
-        assert hyperanxiety_avoidance(1.0, hyper, 99.5, config, 1)
+        assert not hyperanxiety_avoidance(1.0, 10.0, 10.0, 0.0, config, 2)
+        assert hyperanxiety_avoidance(1.0, 10.0, 10.0, 99.5, config, 1)
 
     def test_grid_directions_under_literal_inequality(self):
         # avoidance frequency falls as detection rises (the naive analyst is
@@ -264,17 +257,16 @@ class TestHyperanxiety:
         # the marginal-contribution term shrinks in R, so later rounds avoid
         # more often under the literal inequality
         config = RedLineConfig(nu_star=5.0)
-        hyper = HyperEstimate(lambda_dot=8.0, z_dot=5.0)
         by_pi = []
         for pi in (0.0, 0.25, 0.5, 0.75, 1.0):
             avoided = sum(
-                hyperanxiety_avoidance(pi, hyper, 2.0, config, r) for r in range(1, 11)
+                hyperanxiety_avoidance(pi, 8.0, 5.0, 2.0, config, r) for r in range(1, 11)
             )
             by_pi.append(avoided)
         assert all(a >= b for a, b in zip(by_pi, by_pi[1:]))
         by_round = [
             sum(
-                hyperanxiety_avoidance(pi, hyper, 2.0, config, r)
+                hyperanxiety_avoidance(pi, 8.0, 5.0, 2.0, config, r)
                 for pi in (0.0, 0.25, 0.5, 0.75, 1.0)
             )
             for r in range(1, 11)
@@ -283,7 +275,7 @@ class TestHyperanxiety:
 
     def test_round_below_one_rejected(self):
         with pytest.raises(DomainError):
-            hyperanxiety_avoidance(0.5, HyperEstimate(1, 1), 0.0, self.config, 0)
+            hyperanxiety_avoidance(0.5, 1.0, 1.0, 0.0, self.config, 0)
 
 
 class TestCommunityPrecision:
@@ -305,15 +297,15 @@ class TestCommunityPrecision:
 
 class TestBruteStopping:
     def test_all_negative_stops_immediately(self):
-        assert optimal_stopping_brute([-1.0, -2.0, -0.5], rho=0.9).tau_star == 0
+        assert optimal_stopping_brute([-1.0, -2.0, -0.5], rho=0.9)[0] == 0
 
     def test_all_positive_runs_to_horizon(self):
-        assert optimal_stopping_brute([1.0, 0.5, 0.25], rho=1.0).tau_star == 3
+        assert optimal_stopping_brute([1.0, 0.5, 0.25], rho=1.0)[0] == 3
 
     def test_enumerated_example(self):
-        result = optimal_stopping_brute([5.0, 3.0, 1.0, -1.0, -3.0], rho=1.0)
-        assert result.tau_star == 3
-        assert result.values[3] == pytest.approx(9.0)
+        tau_star, values = optimal_stopping_brute([5.0, 3.0, 1.0, -1.0, -3.0], rho=1.0)
+        assert tau_star == 3
+        assert values[3] == pytest.approx(9.0)
 
     def test_a_running_value_past_the_float_range_raises(self):
         with pytest.raises(DomainError, match="after round 2 overflows"):
@@ -321,8 +313,7 @@ class TestBruteStopping:
 
     def test_tie_breaks_to_earliest(self):
         # stopping after round 1 or 3 both give 1.0; earliest wins
-        result = optimal_stopping_brute([1.0, -1.0, 1.0], rho=1.0)
-        assert result.tau_star == 1
+        assert optimal_stopping_brute([1.0, -1.0, 1.0], rho=1.0)[0] == 1
 
     def test_horizon_bounds(self):
         with pytest.raises(DomainError):
@@ -350,10 +341,10 @@ class TestBruteStopping:
         assume(all(u != 0.0 for u in utilities))
         completed = 0
         for r, delta in enumerate(deltas, start=1):
-            if not continuation(costs, 1, r, RoundDeltas(delta, 0.0, 0.0)).continue_:
+            if not continuation(costs, 1, r, RoundDeltas(delta, 0.0, 0.0)):
                 break
             completed = r
-        assert completed == optimal_stopping_brute(utilities, rho=1.0).tau_star
+        assert completed == optimal_stopping_brute(utilities, rho=1.0)[0]
 
 
 class TestRunRound:
@@ -568,6 +559,20 @@ class TestLedgerPersistence:
             bad = (bad if isinstance(bad, str) else json.dumps(bad)).encode("utf-8")
         path.write_bytes(good.encode("utf-8") + b"\n" + bad + b"\n")
         with pytest.raises(DomainError, match=f"^{re.escape(str(path))}:3: "):
+            read_ledger(path)
+
+    @pytest.mark.parametrize("underwriting, detail", [
+        ({"lambda_hat": 1e300, "xi_hat": 1e300}, "the expected loss of 'atlanta-rdd' is inf"),
+        ({"lambda_hat": -1.0}, "lambda_hat must be finite and >= 0, got -1.0"),
+    ], ids=["loss-inf", "negative-rate"])
+    def test_a_bad_underwriting_estimate_names_its_line(self, tmp_path, underwriting, detail):
+        # a line that decodes but whose estimate the imagined set would refuse
+        example = Path(__file__).parent / "data" / "ledger_example.jsonl"
+        first = json.loads(example.read_text(encoding="utf-8").splitlines()[0])
+        first["underwriting"].update(underwriting)
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(json.dumps(first) + "\n", encoding="utf-8")
+        with pytest.raises(DomainError, match=f"^{re.escape(f'{path}:1: {detail}')}$"):
             read_ledger(path)
 
     def test_a_value_that_is_not_finite_is_never_written(self, tmp_path):

@@ -22,13 +22,13 @@ from darkspec import (
     estimate_from_observation,
     expected_jump_loss,
     jump_loss_variance,
-    sample_paths,
 )
 from darkspec.estimation import (
     estimate_loss_variance,
     read_estimates_csv,
     write_estimates_csv,
 )
+from darkspec.process import sample_blocks
 
 
 def underwritten(cid, lam, xi, s2=0.0, window=1.0, round_index=1):
@@ -107,7 +107,7 @@ class TestExpectedJumpLoss:
         c = LevyComponent("k", 0.0, 0.0, 2.0, Exponential.from_mean(3.0))
         losses = [
             expected_jump_loss(estimate_from_observation("k", p.jump_sizes, 200.0))
-            for p in sample_paths(c, 200.0, 3, 400)
+            for block in sample_blocks(c, 200.0, 3, 400) for p in block.paths()
         ]
         losses = np.array(losses)
         se = losses.std(ddof=1) / math.sqrt(len(losses))
@@ -143,7 +143,8 @@ class TestJumpLossVariance:
         # rate 2, Exp mean 3, window 10: predicted 2*(9+9)/10 = 3.6
         c = LevyComponent("k", 0.0, 0.0, 2.0, Exponential.from_mean(3.0))
         per_unit = np.array(
-            [float(np.sum(p.jump_sizes)) / 10.0 for p in sample_paths(c, 10.0, 23, 20_000)]
+            [float(np.sum(p.jump_sizes)) / 10.0
+             for block in sample_blocks(c, 10.0, 23, 20_000) for p in block.paths()]
         )
         assert np.var(per_unit, ddof=1) == pytest.approx(3.6, rel=0.05)
 
@@ -258,9 +259,8 @@ class TestPkre:
         result = compute_pkre([], imagined)
         total = aggregate(comps)
         horizon = 50.0
-        losses = np.array(
-            [-p.terminal_value / horizon for p in sample_paths(total, horizon, 41, 10_000)]
-        )
+        blocks = sample_blocks(total, horizon, 41, 10_000)
+        losses = -np.concatenate([block.terminal_values for block in blocks]) / horizon
         se = losses.std(ddof=1) / math.sqrt(len(losses))
         assert abs(losses.mean() - result.total) <= 3.0 * se
 

@@ -24,12 +24,11 @@ from darkspec import (
     aggregate,
     derive_seed,
     sample_path,
-    sample_paths,
     simulate_block,
     theoretical_moments,
     write_paths_csv,
 )
-from darkspec.process import PATH_BLOCK, csv_line, sample_blocks
+from darkspec.process import PATH_BLOCK, _terminal_values, csv_line, sample_blocks
 
 
 def comp(cid="k", drift=0.0, diffusion=0.0, rate=0.0, severity=None, start=0.0,
@@ -43,6 +42,22 @@ def comp(cid="k", drift=0.0, diffusion=0.0, rate=0.0, severity=None, start=0.0,
         category=category,
         commencement=start,
     )
+
+
+def stream(component, horizon, root_seed, n_paths, name="terminal_values"):
+    """The per-path array ``name`` of the sample_blocks stream, blocks joined."""
+    blocks = sample_blocks(component, horizon, root_seed, n_paths)
+    return np.concatenate([getattr(block, name) for block in blocks])
+
+
+def reconstructed(component, block, i):
+    """Path ``i``'s terminal value, recomputed alone from its slice of ``block``."""
+    end = int(block.counts[: i + 1].sum())
+    return _terminal_values(
+        component.drift, component.diffusion, block.horizon - component.commencement,
+        block.brownian_terminals[i : i + 1], block.jump_sizes[end - block.counts[i] : end],
+        block.counts[i : i + 1],
+    )[0]
 
 
 class TestSamplePath:
@@ -75,7 +90,7 @@ class TestSamplePath:
         # lambda=2, Exp(rate 0.5) so mean jump 2; over T=100 the expected
         # total loss is 2*100*2 = 400
         c = comp(rate=2.0, severity=Exponential(rate=0.5))
-        losses = np.array([-p.terminal_value for p in sample_paths(c, 100.0, 31, 10_000)])
+        losses = -stream(c, 100.0, 31, 10_000)
         se = losses.std(ddof=1) / math.sqrt(len(losses))
         assert abs(losses.mean() - 400.0) <= 3.0 * se
 
@@ -90,7 +105,7 @@ class TestSamplePath:
         # counts over 10,000 paths vs Poisson(lambda * dt) at alpha = 0.01
         c = comp(rate=2.0, start=1.0)
         dt = 2.0
-        counts = np.array([p.jump_count for p in sample_paths(c, 1.0 + dt, 17, 10_000)])
+        counts = stream(c, 1.0 + dt, 17, 10_000, "counts")
         mean = c.jump_rate * dt
         top = int(counts.max()) + 1
         observed = np.bincount(counts, minlength=top + 1).astype(float)
@@ -131,8 +146,8 @@ class TestReconstruction:
     @settings(max_examples=120, deadline=None)
     def test_terminal_value_reconstructs_exactly(self, component, extra, seed):
         horizon = component.commencement + extra
-        path = sample_path(component, horizon, seed)
-        assert path.reconstruct_terminal(component) == path.terminal_value
+        block = simulate_block(component, horizon, seed, 1)
+        assert reconstructed(component, block, 0) == block.terminal_values[0]
 
 
 @st.composite
@@ -189,9 +204,9 @@ class TestBlockKernel:
             assert [p.jump_count for p in paths] == block.counts.tolist()
             assert np.all(block.jump_times >= component.commencement)
             assert np.all(block.jump_times <= horizon)
-            for path, terminal in zip(paths, block.terminal_values.tolist()):
+            for i, (path, terminal) in enumerate(zip(paths, block.terminal_values.tolist())):
                 assert path.terminal_value == terminal
-                assert path.reconstruct_terminal(component) == path.terminal_value
+                assert reconstructed(component, block, i) == terminal
 
     @given(kernel_components(), st.floats(0.0, 6.0), st.integers(0, 2**31 - 1))
     @settings(max_examples=80, deadline=None)
@@ -237,19 +252,15 @@ class TestBlockKernel:
 
 class TestSeedDerivation:
     def test_path_sets_are_order_independent(self):
-        # sample_paths is the block stream: block b is simulate_block under
-        # derive_seed(root, id, b), whichever block is drawn first
+        # block b of the stream is simulate_block under derive_seed(root, id,
+        # b), whichever block is drawn first
         c = comp(drift=0.5, diffusion=1.0, rate=1.0)
-        batch = sample_paths(c, 10.0, root_seed=5, n_paths=PATH_BLOCK + 40)
+        batch = list(sample_blocks(c, 10.0, root_seed=5, n_paths=PATH_BLOCK + 40))
         second = simulate_block(c, 10.0, derive_seed(5, "k", 1), 40)  # drawn first
         first = simulate_block(c, 10.0, derive_seed(5, "k", 0), PATH_BLOCK)
-        individually = first.paths() + second.paths()
-        assert len(batch) == len(individually) == PATH_BLOCK + 40
-        for want, got in zip(batch, individually):
-            assert np.array_equal(want.jump_times, got.jump_times)
-            assert np.array_equal(want.jump_sizes, got.jump_sizes)
-            assert want.brownian_terminal == got.brownian_terminal
-            assert want.terminal_value == got.terminal_value
+        assert len(batch) == 2
+        assert_same_block(batch[0], first)
+        assert_same_block(batch[1], second)
         with pytest.raises(DomainError, match="n_paths"):
             sample_blocks(c, 10.0, 5, -1)  # at the call, before any block is drawn
 
@@ -302,9 +313,7 @@ class TestAggregate:
         a = comp(cid="a", rate=1.0, severity=Exponential.from_mean(2.0))
         b = comp(cid="b", rate=3.0, severity=Exponential.from_mean(4.0))
         total = aggregate([a, b])
-        losses = np.array(
-            [-p.terminal_value for p in sample_paths(total, 50.0, 101, 10_000)]
-        )
+        losses = -stream(total, 50.0, 101, 10_000)
         se = losses.std(ddof=1) / math.sqrt(len(losses))
         assert abs(losses.mean() - 700.0) <= 3.0 * se
 
@@ -313,21 +322,21 @@ class TestAggregate:
                  severity=Exponential.from_mean(3.0))
         b = comp(cid="b", drift=-0.2, diffusion=0.5, rate=1.0, severity=Degenerate(2.0))
         total = aggregate([a, b])
-        at, bt, tt = (theoretical_moments(c, 10.0) for c in (a, b, total))
-        assert tt.mean == pytest.approx(at.mean + bt.mean)
-        assert tt.variance == pytest.approx(at.variance + bt.variance)
+        (am, av), (bm, bv), (tm, tv) = (theoretical_moments(c, 10.0) for c in (a, b, total))
+        assert tm == pytest.approx(am + bm)
+        assert tv == pytest.approx(av + bv)
 
 
 class TestTheoreticalMoments:
     def test_pure_brownian(self):
-        m = theoretical_moments(comp(drift=1.5, diffusion=2.0), 4.0)
-        assert m.mean == pytest.approx(6.0)
-        assert m.variance == pytest.approx(16.0)
+        mean, variance = theoretical_moments(comp(drift=1.5, diffusion=2.0), 4.0)
+        assert mean == pytest.approx(6.0)
+        assert variance == pytest.approx(16.0)
 
     def test_degenerate_point_mass(self):
-        m = theoretical_moments(comp(rate=1.0, severity=Degenerate(5.0)), 1.0)
-        assert m.mean == pytest.approx(-5.0)
-        assert m.variance == pytest.approx(25.0)
+        mean, variance = theoretical_moments(comp(rate=1.0, severity=Degenerate(5.0)), 1.0)
+        assert mean == pytest.approx(-5.0)
+        assert variance == pytest.approx(25.0)
 
     def test_heavy_tail_variance_undefined(self):
         from darkspec import Pareto, VarianceUndefinedError
@@ -339,11 +348,8 @@ class TestTheoreticalMoments:
     def test_compound_variance_monte_carlo(self):
         # rate 2, Exp mean 3 over dt=10: variance 2*10*(9+9) = 360
         c = comp(rate=2.0, severity=Exponential.from_mean(3.0))
-        m = theoretical_moments(c, 10.0)
-        assert m.variance == pytest.approx(360.0)
-        terminals = np.array(
-            [p.terminal_value for p in sample_paths(c, 10.0, 19, 20_000)]
-        )
+        assert theoretical_moments(c, 10.0)[1] == pytest.approx(360.0)
+        terminals = stream(c, 10.0, 19, 20_000)
         assert np.var(terminals, ddof=1) == pytest.approx(360.0, rel=0.05)
 
 
@@ -396,8 +402,8 @@ class TestCsvExport:
         assert a.getvalue() == b.getvalue()
 
     def test_path_index_runs_across_components(self):
-        a = sample_paths(comp(cid="a", rate=1.0), 5.0, 4, 2)
-        b = sample_paths(comp(cid="b", rate=1.0), 5.0, 4, 2)
+        a = simulate_block(comp(cid="a", rate=1.0), 5.0, 4, 2).paths()
+        b = simulate_block(comp(cid="b", rate=1.0), 5.0, 4, 2).paths()
         out = io.StringIO()
         write_paths_csv(a + b, out)
         rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
