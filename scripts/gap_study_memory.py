@@ -5,7 +5,7 @@ The gap-study oracles draw their reps in fixed blocks, so the child's peak
 resident set should not grow with reps. At `scenarios/gap.cfg`'s rates, 3M
 reps expect 9M + 6M jumps: held at once, their sizes alone would take over
 100 MiB. 4M reps expect 12M jumps of one component, past the 10^7 that
-`simulate` and `estimate` may hold at once; gap-study checks that bound per
+`simulate` and `estimate` may draw; gap-study checks that bound per
 oracle block instead. It prints the peak RSS after each child and exits 1
 when a child fails or the peak RSS is above ``MAX_RSS_MIB``.
 

@@ -113,9 +113,13 @@ def _write_report(
 # simulate
 
 
-# the most jumps one component's draws may be expected to hold at once: about
-# 240 MB at the 24 bytes a jump costs `estimate` (times, sizes, pooled sizes).
-# simulate and estimate hold every rep's jumps, gap-study one oracle block's
+# the most jumps one component may be expected to draw. `estimate` pools
+# every rep's jump sizes: about 240 MB at the 24 bytes a jump costs it
+# (times, sizes, pooled sizes). `simulate` writes each block as it is drawn,
+# so for it the bound limits a component's jump rows in paths.csv: about
+# 470 MB at about 47 bytes a row. gap-study applies it to one oracle block.
+# It is also the most reps simulate and estimate draw, since at jump_rate 0
+# no jump count bounds them: 80 MB of simulate's terminal values a component
 MAX_EXPECTED_JUMPS = 10**7
 
 
@@ -134,10 +138,16 @@ def _check_expected_jumps(component, elapsed: float, reps: int, window_key: str)
 
 def _paths_inputs(cfg: ExperimentConfig):
     """The components and horizon that simulate and estimate draw paths for,
-    each checked before any draw: simulate's moment formulas need the severity
-    variance, and estimate divides by each window pooled over the reps, which
-    must be neither empty nor past the largest float."""
+    each checked before any draw: the reps may not pass MAX_EXPECTED_JUMPS,
+    simulate's moment formulas need the severity variance, and estimate
+    divides by each window pooled over the reps, which must be neither empty
+    nor past the largest float."""
     simulating = cfg.kind == "simulate"
+    if cfg.reps > MAX_EXPECTED_JUMPS:
+        raise ConfigError(
+            f"key 'reps' must be at most {MAX_EXPECTED_JUMPS:.0e} under {cfg.kind}, "
+            f"got {cfg.reps}"
+        )
     specs = parse_components(cfg.values, need_variance=simulating)
     horizon = _as_float(cfg.values, "horizon")
     for spec in specs:
@@ -164,17 +174,21 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     specs, horizon = _paths_inputs(cfg)
     rows = []
     cfg.out.mkdir(parents=True, exist_ok=True)
+    # each block goes to paths.csv as soon as it is drawn; only its terminal
+    # values, 8 bytes a path, stay for the moment rows
+    per_component = []
     with open(cfg.out / "paths.csv", "w", encoding="utf-8") as out:
-        per_component = [
-            list(sample_blocks(spec.component, horizon, cfg.seed, cfg.reps)) for spec in specs
-        ]
-        write_paths_csv(
-            [path for blocks in per_component for block in blocks for path in block.paths()],
-            out,
-        )
-    for spec, blocks in zip(specs, per_component):
+        first = 0
+        for spec in specs:
+            terminals = []
+            for block in sample_blocks(spec.component, horizon, cfg.seed, cfg.reps):
+                write_paths_csv(block.paths(), out, first)
+                first += len(block.counts)
+                terminals.append(block.terminal_values)
+            per_component.append(terminals)
+    for spec, terminal_blocks in zip(specs, per_component):
         component = spec.component
-        terminals = np.concatenate([block.terminal_values for block in blocks])
+        terminals = np.concatenate(terminal_blocks)
         mean, variance = theoretical_moments(component, horizon)
         emp_mean = float(np.mean(terminals))
         se = (

@@ -10,7 +10,10 @@ from one generator, :func:`sample_path` is its one-path case, and
 :func:`sample_blocks` is the one stream of n paths under a root seed, its
 blocks seeded by :func:`derive_seed` so that they are order-independent.
 A block holds its paths in flat arrays; :meth:`PathBlock.paths` views them
-as one :class:`PathSample` per path. :func:`theoretical_moments` gives the
+as one :class:`PathSample` per path. :func:`write_paths_csv` writes paths as
+CSV rows; called once per block with the running path index as ``start``, it
+gives the bytes of one call over every path, so a block can be written as soon
+as it is drawn and then dropped. :func:`theoretical_moments` gives the
 closed-form ``(mean, variance)`` a terminal value is checked against.
 
 Numpy is imported inside the functions that use it, never at module level,
@@ -332,17 +335,21 @@ def csv_line(fields: Iterable) -> str:
     return _CRLF_ROW(fields)[:-2] + "\n"
 
 
-def write_paths_csv(paths: Iterable[PathSample], out: IO[str]) -> None:
+def write_paths_csv(paths: Iterable[PathSample], out: IO[str], start: int = 0) -> None:
     """One row per jump plus a terminal row carrying the terminal value.
 
-    ``path_index`` counts the paths of the call, across components. Float
-    cells are the ``repr`` of the Python float, which round-trips exactly.
-    Each path's rows go out in one ``out.write``.
+    ``path_index`` counts the paths of the call from ``start``, across
+    components. The header goes out only when ``start`` is 0, so calls that
+    each carry on the index from the last (one per block, say) write the
+    same bytes as one call over every path. Float cells are the ``repr`` of
+    the Python float, which round-trips exactly. Each path's rows go out in
+    one ``out.write``.
     """
     import numpy as np
-    out.write(csv_line(_PATH_CSV_HEADER))
+    if start == 0:
+        out.write(csv_line(_PATH_CSV_HEADER))
     quoted_ids: dict[str, str] = {}
-    for index, path in enumerate(paths):
+    for index, path in enumerate(paths, start):
         cid = path.component_id
         if cid not in quoted_ids:
             quoted_ids[cid] = csv_line([cid, ""])[:-1]

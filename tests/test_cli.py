@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, determinism, file outputs."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -615,6 +617,27 @@ class TestSimulateScenario:
         digest = hashlib.sha256((tmp_path / "paths.csv").read_bytes()).hexdigest()
         assert digest == self.PATHS_SHA256
 
+    def test_simulate_holds_at_most_one_earlier_block(self, tmp_path, monkeypatch):
+        # paths.csv takes each block as it is drawn: when the next block is
+        # ready, at most the one just written may still be alive
+        import darkspec.cli as cli
+
+        drawn = []
+        alive = []
+
+        def tracked(*args, **kwargs):
+            for block in sample_blocks(*args, **kwargs):
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in drawn))
+                drawn.append(weakref.ref(block))
+                yield block
+
+        monkeypatch.setattr(cli, "sample_blocks", tracked)
+        assert main(["simulate", "--config", str(REPO_ROOT / "scenarios" / "simulate.cfg"),
+                     "--reps", "5000", "--out", str(tmp_path)]) == 0
+        assert len(alive) == 10  # 5 blocks of each of 2 components
+        assert max(alive) <= 1
+
 
 class TestReadmeExample:
     """The README's ``run-process`` example writes ``ledger_example.jsonl``,
@@ -862,6 +885,11 @@ class TestBadInput:
              ("'weights.psi_shape'", "'cubic'")),
             ("simulate", SIMULATE_MC.replace("severity = exponential", "severity = weibull"),
              None, ("'component.a.severity'", "'weibull'")),
+            # no jump count bounds the reps at jump_rate 0
+            ("simulate", SIMULATE_MC.replace("jump_rate = 2.0", "jump_rate = 0.0")
+             + "reps = 1000000000000\n", None, "'reps'"),
+            ("estimate", SIMULATE_MC.replace("jump_rate = 2.0", "jump_rate = 0.0")
+             + "reps = 1000000000000\n", None, "'reps'"),
         ],
         ids=[
             "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
@@ -875,7 +903,8 @@ class TestBadInput:
             "weights-d1-negative", "diffusion-negative", "pareto-shape-0.5",
             "utilities-with-r-max", "utilities-with-delta-initial", "observed-csv-empty",
             "observed-csv-directory", "unknown-stopping-key", "unknown-component-field",
-            "psi-shape-unknown", "severity-family-unknown",
+            "psi-shape-unknown", "severity-family-unknown", "simulate-reps-1e12",
+            "estimate-reps-1e12",
         ],
     )
     def test_exit_two_with_one_line(
@@ -914,9 +943,15 @@ class TestBadInput:
         ("estimate", SIMULATE_MC.replace("horizon = 50.0", "horizon = 1e308")
          .replace("jump_rate = 2.0", "jump_rate = 0.0") + "reps = 3\n",
          "keys 'horizon' and 'component.a.commencement'"),
+        # one past the bound, with no jumps to count
+        ("simulate", SIMULATE_MC.replace("jump_rate = 2.0", "jump_rate = 0.0")
+         + "reps = 10000001\n", "'reps'"),
+        ("estimate", SIMULATE_MC.replace("jump_rate = 2.0", "jump_rate = 0.0")
+         + "reps = 10000001\n", "'reps'"),
     ], ids=["simulate-variance", "gap-study-variance", "round-lambda-hat", "round-window",
             "simulate-commencement", "simulate-seed-negative", "gap-study-seed-negative",
-            "gap-study-reps-1", "estimate-empty-window", "estimate-window-overflow"])
+            "gap-study-reps-1", "estimate-empty-window", "estimate-window-overflow",
+            "simulate-reps-past-bound", "estimate-reps-past-bound"])
     def test_rejected_before_any_draw_or_round(self, tmp_path, capsys, monkeypatch,
                                                scenario_paths, command, config, key):
         import darkspec.cli as cli

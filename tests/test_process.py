@@ -491,6 +491,35 @@ class TestCsvWriterMatchesReference:
             assert (row[4] == "") if terminal is None else (float(row[4]) == terminal)
 
 
+class TestCsvPerBlock:
+    @pytest.mark.parametrize("reps", [1, PATH_BLOCK, PATH_BLOCK + 1, 2500])
+    @pytest.mark.parametrize("ids", [("a",), ("a", "b")], ids=["one", "two"])
+    def test_per_block_writes_equal_one_write(self, reps, ids):
+        blocks = [
+            block for cid in ids
+            for block in sample_blocks(comp(cid=cid, diffusion=0.3, rate=1.5), 4.0, 9, reps)
+        ]
+        every_path = [path for block in blocks for path in block.paths()]
+        one, ref, per_block = io.StringIO(), io.StringIO(), io.StringIO()
+        write_paths_csv(every_path, one)
+        reference_write_paths_csv(every_path, ref)
+        first = 0
+        for block in blocks:
+            write_paths_csv(block.paths(), per_block, first)
+            first += len(block.counts)
+        assert first == reps * len(ids)
+        assert per_block.getvalue() == one.getvalue() == ref.getvalue()
+
+    def test_start_writes_no_header_and_counts_from_start(self):
+        paths = simulate_block(comp(rate=1.0), 5.0, 4, 2).paths()
+        out = io.StringIO()
+        write_paths_csv(paths, out, 7)
+        rows = list(csv.reader(io.StringIO(out.getvalue())))
+        assert len(rows) == sum(p.jump_count + 1 for p in paths)
+        assert rows[0][1] == "7"
+        assert [row[1] for row in rows if row[4] != ""] == ["7", "8"]
+
+
 class TestCsvLine:
     @given(st.lists(PARSEABLE_IDS, min_size=1, max_size=4))
     @settings(max_examples=200, deadline=None)
