@@ -10,9 +10,11 @@ about 90 MiB more. It prints each child's peak RSS and exits 1 when a child
 fails or the growth is above ``MAX_GROWTH_MIB``.
 
 Each child's peak is read from its own `os.wait4`, not from
-`RUSAGE_CHILDREN`, which is a running maximum over all children. On Linux a
-child's `ru_maxrss` includes the RSS of the process it was forked from, so
-this script keeps itself small and never reads `paths.csv`.
+`RUSAGE_CHILDREN`, which is a running maximum over all children. On Linux
+that peak is the largest of the child and the worker processes it forked and
+reaped, so it covers every process that holds a block. A child's `ru_maxrss`
+also includes the RSS of the process it was forked from, so this script
+keeps itself small and never reads `paths.csv`.
 
     PYTHONPATH=src python scripts/simulate_memory.py
 """

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
+import struct
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -46,7 +48,14 @@ from .estimation import (
     write_estimates_csv,
 )
 from .narrative import parse_narrative, validate
-from .process import csv_line, sample_blocks, theoretical_moments, write_paths_csv
+from .process import (
+    block_seeds,
+    csv_line,
+    sample_blocks,
+    simulate_block,
+    theoretical_moments,
+    write_paths_csv,
+)
 from .process import derive_seed, sample_path  # unused here; perfbench/tracer.py wraps these names
 
 
@@ -115,11 +124,13 @@ def _write_report(
 
 # the most jumps one component may be expected to draw. `estimate` pools
 # every rep's jump sizes: about 240 MB at the 24 bytes a jump costs it
-# (times, sizes, pooled sizes). `simulate` writes each block as it is drawn,
-# so for it the bound limits a component's jump rows in paths.csv: about
-# 470 MB at about 47 bytes a row. gap-study applies it to one oracle block.
-# It is also the most reps simulate and estimate draw, since at jump_rate 0
-# no jump count bounds them: 80 MB of simulate's terminal values a component
+# (times, sizes, pooled sizes). `simulate`'s W workers, one a CPU and at most
+# one a block, each hold one block, and its parent writes each block in its
+# turn, holding at most 2W - 1 that come early, so for it the bound limits a
+# component's jump rows in paths.csv: about 470 MB at about 47 bytes a row.
+# gap-study applies it to one oracle block. It is also the most reps simulate
+# and estimate draw, since at jump_rate 0 no jump count bounds them: 80 MB of
+# simulate's terminal values a component, which its parent keeps
 MAX_EXPECTED_JUMPS = 10**7
 
 
@@ -168,27 +179,163 @@ def _paths_inputs(cfg: ExperimentConfig):
     return specs, horizon
 
 
+def _worker_count() -> int:
+    """The CPUs this process may run on: simulate forks at most this many workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        return os.cpu_count() or 1
+
+
+# the most paths.csv bytes in one message from a simulate worker: its parent
+# writes a block that arrives in its turn message by message
+_CHUNK = 1 << 18
+
+
+def _simulate_worker(components, horizon: float, plan, tasks: int, handout: int,
+                     writer, readers) -> None:
+    """Draw and format the blocks of ``plan``, each a (component index, seed,
+    n, first path index), whose indices come down the shared pipe ``tasks``
+    8 bytes at a time, until it ends. Each block goes down ``writer`` as its
+    index and size, its paths.csv bytes in messages of at most _CHUNK bytes,
+    and its terminal values. A fault sends an empty message, which none of
+    these is, and then its error text."""
+    os.close(handout)  # inherited through fork: the pipe ends when the parent closes it
+    for reader in readers:  # inherited through fork: only the parent reads
+        reader.close()
+    try:
+        while task := os.read(tasks, 8):
+            i = int.from_bytes(task, "little")
+            index, seed, n, first = plan[i]
+            block = simulate_block(components[index], horizon, seed, n)
+            with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as text:
+                write_paths_csv(block.paths(), text, first)
+                text.flush()
+                with text.buffer.getbuffer() as data:
+                    writer.send_bytes(struct.pack("<qq", i, len(data)))
+                    for at in range(0, len(data), _CHUNK):
+                        writer.send_bytes(data[at:at + _CHUNK])
+            writer.send_bytes(block.terminal_values)
+            del block  # not alive while the next one is drawn
+    except BaseException as exc:
+        try:
+            writer.send_bytes(b"")
+            writer.send_bytes(_error_text(exc).encode("utf-8", "backslashreplace"))
+        except OSError:  # the parent has stopped reading
+            pass
+
+
+def _receive(reader, worker, block_done: bool = False) -> bytes | None:
+    """The next message from ``worker``; None if it has ended with exit code 0
+    and ``block_done``, so between blocks. Its fault, or any other end, is a
+    DarkspecError."""
+    try:
+        data = reader.recv_bytes()
+        if not data:
+            raise DarkspecError(reader.recv_bytes().decode("utf-8"))
+    except EOFError:
+        worker.join()
+        if block_done and worker.exitcode == 0:
+            return None
+        raise DarkspecError(
+            f"a simulate worker ended with exit code {worker.exitcode} before its last block"
+        ) from None
+    return data
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> int:
+    import multiprocessing
+    from multiprocessing.connection import wait
     import numpy as np
     start = time.perf_counter()
     specs, horizon = _paths_inputs(cfg)
-    rows = []
+    components = [spec.component for spec in specs]
+    # the stream's blocks in paths.csv order: (component index, seed, n, first path index)
+    plan = []
+    first = 0
+    for index, component in enumerate(components):
+        for seed, n in block_seeds(component.component_id, cfg.seed, cfg.reps):
+            plan.append((index, seed, n, first))
+            first += n
+    # the parent hands out block indices in stream order down one pipe, at
+    # most 2W past the last block written, and each of the W workers takes
+    # the next whenever it is free, so a worker that runs slower (its CPU
+    # shared, say) holds no other back. The parent writes each block in its
+    # turn as it arrives and keeps a block that arrives early, at most 2W - 1
+    # of them, until its turn; it keeps only the terminal values, 8 bytes a
+    # path, for the moment rows. Each worker holds one block, and the bytes
+    # do not depend on W or on which worker draws which block.
+    workers = min(_worker_count(), len(plan))
+    ahead = 2 * workers
+    terminal_blocks = [[] for _ in components]
     cfg.out.mkdir(parents=True, exist_ok=True)
-    # each block goes to paths.csv as soon as it is drawn; only its terminal
-    # values, 8 bytes a path, stay for the moment rows
-    per_component = []
-    with open(cfg.out / "paths.csv", "w", encoding="utf-8") as out:
-        first = 0
-        for spec in specs:
-            terminals = []
-            for block in sample_blocks(spec.component, horizon, cfg.seed, cfg.reps):
-                write_paths_csv(block.paths(), out, first)
-                first += len(block.counts)
-                terminals.append(block.terminal_values)
-            per_component.append(terminals)
-    for spec, terminal_blocks in zip(specs, per_component):
-        component = spec.component
-        terminals = np.concatenate(terminal_blocks)
+    with open(cfg.out / "paths.csv", "wb") as out:
+        context = multiprocessing.get_context("fork")
+        # the parent keeps its own read end of `tasks` open, so that handing
+        # out never fails for want of a reader: a dead worker is reported by
+        # its exit code. At most 2W indices, 8 bytes each, wait in the pipe
+        tasks, handout = os.pipe()
+        live = {}  # each running worker by the read end of its pipe
+        # a forked child flushes its copy of any buffered output when it exits
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            for _ in range(workers):
+                reader, writer = context.Pipe(duplex=False)
+                proc = context.Process(
+                    target=_simulate_worker,
+                    args=(components, horizon, plan, tasks, handout, writer, [*live, reader]),
+                )
+                proc.start()
+                live[reader] = proc
+                writer.close()  # the worker's end: EOF once the worker is gone
+            handed = written = 0
+            early = {}  # blocks that came before their turn: index -> (chunks, terminal values)
+            while written < len(plan):
+                while handed < min(len(plan), written + ahead):
+                    os.write(handout, handed.to_bytes(8, "little"))
+                    handed += 1
+                if handed == len(plan) and handout >= 0:
+                    os.close(handout)  # each worker ends once the pipe is empty
+                    handout = -1
+                if not live:
+                    raise DarkspecError("simulate's workers ended before its last block")
+                for reader in wait(list(live)):
+                    proc = live[reader]
+                    header = _receive(reader, proc, block_done=True)
+                    if header is None:  # ended after its last block, and joined
+                        del live[reader]
+                        reader.close()
+                        continue
+                    i, size = struct.unpack("<qq", header)
+                    chunks = []
+                    while size > 0:
+                        chunk = _receive(reader, proc)
+                        size -= len(chunk)
+                        if i == written:
+                            out.write(chunk)
+                        else:
+                            chunks.append(chunk)
+                    early[i] = (chunks, _receive(reader, proc))
+                    while written in early:
+                        chunks, terminals = early.pop(written)
+                        out.writelines(chunks)
+                        terminal_blocks[plan[written][0]].append(np.frombuffer(terminals))
+                        written += 1
+        except BaseException:
+            for proc in live.values():
+                proc.kill()
+            raise
+        finally:
+            os.close(tasks)
+            if handout >= 0:
+                os.close(handout)
+            for reader, proc in live.items():
+                reader.close()
+                proc.join()
+    rows = []
+    for component, blocks in zip(components, terminal_blocks):
+        terminals = np.concatenate(blocks)
         mean, variance = theoretical_moments(component, horizon)
         emp_mean = float(np.mean(terminals))
         se = (
@@ -519,13 +666,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             long_format=args.long,
         )
         return _COMMANDS[args.command](cfg)
-    except (DarkspecError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
-        # an unforeseen fault is still one line and exit 2, never a traceback
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         return 2
+
+
+def _error_text(exc: BaseException) -> str:
+    """What follows "error: " on main's one stderr line for ``exc``: an
+    unforeseen fault is still one line and exit 2, never a traceback, and
+    names the exception's type."""
+    if isinstance(exc, (DarkspecError, OSError)):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
 
 
 if __name__ == "__main__":

@@ -7,8 +7,13 @@ simulated: no estimator in this package looks inside the window.
 Simulation is pure in (component, horizon, seed), so paths can be generated
 in any order or in parallel. :func:`simulate_block` draws a block of paths
 from one generator, :func:`sample_path` is its one-path case, and
-:func:`sample_blocks` is the one stream of n paths under a root seed, its
-blocks seeded by :func:`derive_seed` so that they are order-independent.
+:func:`block_seeds` lays out the one stream of n paths under a root seed:
+each block's ``(seed, n)``, its seed from :func:`derive_seed` so that blocks
+are order-independent. :func:`sample_blocks` draws that stream in order; the
+``simulate`` command splits it among forked worker processes, each taking
+the next block handed out whenever it is free, while the parent writes the
+blocks in stream order, so the bytes do not depend on the number of workers
+W or on which worker draws which block, and each worker holds one block.
 A block holds its paths in flat arrays; :meth:`PathBlock.paths` views them
 as one :class:`PathSample` per path. :func:`write_paths_csv` writes paths as
 CSV rows; called once per block with the running path index as ``start``, it
@@ -236,19 +241,29 @@ def sample_path(component: LevyComponent, horizon: float, seed: int) -> PathSamp
 PATH_BLOCK = 1024
 
 
-def sample_blocks(
-    component: LevyComponent, horizon: float, root_seed: int, n_paths: int
-) -> Iterator[PathBlock]:
-    """``n_paths`` trajectories under one root seed, in blocks of PATH_BLOCK
-    paths (the last holds the rest); block b's seed is derive_seed's for b."""
+def block_seeds(
+    component_id: str, root_seed: int, n_paths: int
+) -> Iterator[tuple[int, int]]:
+    """The ``(seed, n)`` of each block of ``n_paths`` trajectories under one
+    root seed: blocks of PATH_BLOCK paths (the last holds the rest), block b
+    seeded with derive_seed's seed for b. :func:`simulate_block` of each gives
+    :func:`sample_blocks`' blocks."""
     if n_paths < 0:
         raise DomainError("n_paths must be nonnegative")
     return (
-        simulate_block(
-            component, horizon, derive_seed(root_seed, component.component_id, b),
-            min(PATH_BLOCK, n_paths - first),
-        )
+        (derive_seed(root_seed, component_id, b), min(PATH_BLOCK, n_paths - first))
         for b, first in enumerate(range(0, n_paths, PATH_BLOCK))
+    )
+
+
+def sample_blocks(
+    component: LevyComponent, horizon: float, root_seed: int, n_paths: int
+) -> Iterator[PathBlock]:
+    """``n_paths`` trajectories under one root seed, block by block as
+    :func:`block_seeds` lays them out."""
+    return (
+        simulate_block(component, horizon, seed, n)
+        for seed, n in block_seeds(component.component_id, root_seed, n_paths)
     )
 
 

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -601,42 +602,197 @@ class TestRunProcess:
         assert record["pkre"]["total"] == 5.0
 
 
+SIMULATE_SCENARIO = str(REPO_ROOT / "scenarios" / "simulate.cfg")
+
+
+def log_draws(monkeypatch, log):
+    """Patch simulate's per-block draw, which its forked workers inherit, to
+    append the drawing process's pid to the file ``log``; returns a function
+    that lists the pids logged so far, one per block drawn."""
+    import darkspec.cli as cli
+
+    def logged(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()}\n")
+        return simulate_block(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_block", logged)
+    return lambda: log.read_text(encoding="utf-8").split()
+
+
+def log_workers(monkeypatch, log):
+    """Patch simulate's worker loop to append each worker's pid to the file
+    ``log`` as it starts; returns a function that lists the pids logged."""
+    import darkspec.cli as cli
+
+    run = cli._simulate_worker
+
+    def logged(*args):
+        with open(log, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()}\n")
+        run(*args)
+
+    monkeypatch.setattr(cli, "_simulate_worker", logged)
+    return lambda: log.read_text(encoding="utf-8").split()
+
+
+class Hung(BaseException):
+    """Raised by a timer in a test whose command should have returned; not an
+    Exception, so main does not turn it into exit 2."""
+
+
 class TestSimulateScenario:
     """What simulate and estimate write for ``scenarios/simulate.cfg``: the
     three CSVs against fixtures, paths.csv (1.78 MB) by its SHA-256."""
 
     PATHS_SHA256 = "7aa41353f9ec8772a1614e195d80dec99451e6dd5a9cbd6b28cf88ab8af073b2"
 
-    def test_scenario_matches_the_fixtures(self, tmp_path):
-        for command in ("simulate", "estimate"):
-            assert main([command, "--config", str(REPO_ROOT / "scenarios" / "simulate.cfg"),
-                         "--out", str(tmp_path)]) == 0
-        for name in ("moment_report.csv", "estimates.csv", "estimate_report.csv"):
-            fixture = REPO_ROOT / "tests" / "data" / "simulate" / name
-            assert (tmp_path / name).read_bytes() == fixture.read_bytes()
-        digest = hashlib.sha256((tmp_path / "paths.csv").read_bytes()).hexdigest()
+    def assert_simulate_fixtures(self, out):
+        fixture = REPO_ROOT / "tests" / "data" / "simulate" / "moment_report.csv"
+        assert (out / "moment_report.csv").read_bytes() == fixture.read_bytes()
+        digest = hashlib.sha256((out / "paths.csv").read_bytes()).hexdigest()
         assert digest == self.PATHS_SHA256
 
+    def test_scenario_matches_the_fixtures(self, tmp_path):
+        for command in ("simulate", "estimate"):
+            assert main([command, "--config", SIMULATE_SCENARIO, "--out", str(tmp_path)]) == 0
+        for name in ("estimates.csv", "estimate_report.csv"):
+            fixture = REPO_ROOT / "tests" / "data" / "simulate" / name
+            assert (tmp_path / name).read_bytes() == fixture.read_bytes()
+        self.assert_simulate_fixtures(tmp_path)
+
+    def test_one_cpu_gives_one_worker_and_the_same_bytes(self, tmp_path):
+        run_python(f"""
+import os
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+from darkspec import cli
+assert cli._worker_count() == 1
+assert cli.main(["simulate", "--config", {SIMULATE_SCENARIO!r}, "--out", {str(tmp_path)!r}]) == 0
+""")
+        self.assert_simulate_fixtures(tmp_path)
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])  # 8: more workers than CPUs or blocks
+    def test_more_workers_give_the_same_bytes(self, tmp_path, monkeypatch, workers):
+        import darkspec.cli as cli
+
+        monkeypatch.setattr(cli, "_worker_count", lambda: workers)
+        started = log_workers(monkeypatch, tmp_path / "workers.log")
+        pids = log_draws(monkeypatch, tmp_path / "draws.log")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", SIMULATE_SCENARIO, "--out", str(out)]) == 0
+        self.assert_simulate_fixtures(out)
+        # 3 blocks of each of 2 components, each drawn once, in a worker;
+        # which worker draws which block is up to which is free first
+        assert len(started()) == min(workers, 6) and str(os.getpid()) not in started()
+        assert len(pids()) == 6 and set(pids()) <= set(started())
+
+    def test_a_slow_block_holds_no_other_worker_back(self, tmp_path, monkeypatch):
+        # the stream's first block takes a second: the other worker draws the
+        # three blocks handed out with it, 2W = 4, which come before their
+        # turn, and the next two only once the first is written
+        import time
+
+        import darkspec.cli as cli
+
+        seeds = [derive_seed(1, cid, b) for cid in ("a", "b") for b in range(3)]
+        log = tmp_path / "done.log"
+
+        def slow_first(component, horizon, seed, n):
+            if seed == seeds[0]:
+                time.sleep(1.0)
+            block = simulate_block(component, horizon, seed, n)
+            with open(log, "a", encoding="utf-8") as out:
+                out.write(f"{seeds.index(seed)}\n")
+            return block
+
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        monkeypatch.setattr(cli, "simulate_block", slow_first)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", SIMULATE_SCENARIO, "--out", str(out)]) == 0
+        self.assert_simulate_fixtures(out)
+        done = [int(b) for b in log.read_text(encoding="utf-8").split()]
+        assert done[:4] == [1, 2, 3, 0] and sorted(done[4:]) == [4, 5]
+
+    def test_more_workers_than_blocks_and_a_partial_block(self, tmp_path, monkeypatch):
+        import darkspec.cli as cli
+
+        cfg = write_config(tmp_path / "c.cfg", SIMULATE_MC + f"seed = 3\nreps = {PATH_BLOCK + 5}\n")
+        monkeypatch.setattr(cli, "_worker_count", lambda: 1)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
+        monkeypatch.setattr(cli, "_worker_count", lambda: 3)
+        started = log_workers(monkeypatch, tmp_path / "workers.log")
+        pids = log_draws(monkeypatch, tmp_path / "draws.log")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "three")]) == 0
+        assert len(started()) == 2  # at most one worker a block
+        assert len(pids()) == 2 and set(pids()) <= set(started())
+        (component,) = (spec.component for spec in parse_components(load_config_file(cfg)))
+        expected = io.StringIO()
+        write_paths_csv(
+            [path for block in sample_blocks(component, 50.0, 3, PATH_BLOCK + 5)
+             for path in block.paths()],
+            expected,
+        )
+        for name in ("paths.csv", "moment_report.csv"):
+            assert (tmp_path / "three" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+        assert (tmp_path / "three" / "paths.csv").read_bytes() == expected.getvalue().encode()
+
     def test_simulate_holds_at_most_one_earlier_block(self, tmp_path, monkeypatch):
-        # paths.csv takes each block as it is drawn: when the next block is
-        # ready, at most the one just written may still be alive
+        # each worker sends a block as soon as it is formatted: when it draws
+        # the next, at most the one just sent may still be alive. The check
+        # runs in the forked workers, where a failed assert is exit 2
         import darkspec.cli as cli
 
         drawn = []
-        alive = []
 
         def tracked(*args, **kwargs):
-            for block in sample_blocks(*args, **kwargs):
-                gc.collect()
-                alive.append(sum(ref() is not None for ref in drawn))
-                drawn.append(weakref.ref(block))
-                yield block
+            gc.collect()
+            alive = sum(ref() is not None for ref in drawn)
+            assert alive <= 1, f"{alive} earlier blocks alive at a draw"
+            block = draw(*args, **kwargs)
+            drawn.append(weakref.ref(block))
+            return block
 
-        monkeypatch.setattr(cli, "sample_blocks", tracked)
-        assert main(["simulate", "--config", str(REPO_ROOT / "scenarios" / "simulate.cfg"),
-                     "--reps", "5000", "--out", str(tmp_path)]) == 0
-        assert len(alive) == 10  # 5 blocks of each of 2 components
-        assert max(alive) <= 1
+        pids = log_draws(monkeypatch, tmp_path / "draws.log")
+        draw = cli.simulate_block
+        monkeypatch.setattr(cli, "simulate_block", tracked)
+        assert main(["simulate", "--config", SIMULATE_SCENARIO,
+                     "--reps", "5000", "--out", str(tmp_path / "out")]) == 0
+        assert len(pids()) == 10  # 5 blocks of each of 2 components
+        assert str(os.getpid()) not in pids()
+
+    @pytest.mark.parametrize("fault", ["raise", "exit"])
+    def test_worker_fault_is_one_error_line(self, tmp_path, capfd, monkeypatch, fault):
+        # the stream's second block faults while other blocks are in flight;
+        # capfd, not capsys, so that what a worker writes is seen too
+        import signal
+
+        import darkspec.cli as cli
+        from darkspec.errors import DomainError
+
+        faulty_seed = derive_seed(1, "a", 1)
+
+        def faulty(component, horizon, seed, n):
+            if seed == faulty_seed:
+                if fault == "raise":
+                    raise DomainError("the second block faulted")
+                os._exit(1)
+            return simulate_block(component, horizon, seed, n)
+
+        def hung(*_):
+            raise Hung
+
+        monkeypatch.setattr(cli, "simulate_block", faulty)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            expect_one_error_line(
+                capfd, ["simulate", "--config", SIMULATE_SCENARIO, "--out", str(tmp_path)],
+                "the second block faulted" if fault == "raise" else "exit code 1",
+            )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
 
 class TestReadmeExample:
@@ -719,8 +875,8 @@ class TestNumpyFreeStart:
 
     def test_package_imports_leave_numpy_out(self):
         code = ("import sys, darkspec, darkspec.cli, darkspec.engine, darkspec.narrative\n"
-                "print('numpy' in sys.modules)")
-        assert run_python(code) == "False\n"
+                "print('numpy' in sys.modules, 'multiprocessing' in sys.modules)")
+        assert run_python(code) == "False False\n"
 
     def test_round_ledger_commands_leave_numpy_out_and_simulate_loads_it(self, tmp_path):
         code = f"import sys\nOUT = {str(tmp_path)!r}\n" + README_ROUNDS + """
@@ -959,7 +1115,8 @@ class TestBadInput:
         def reached(*args, **kwargs):
             raise AssertionError("drew or ran a round before the check")
 
-        monkeypatch.setattr(cli, "sample_blocks", reached)
+        monkeypatch.setattr(cli, "sample_blocks", reached)  # estimate
+        monkeypatch.setattr(cli, "simulate_block", reached)  # simulate's workers
         monkeypatch.setattr(cli.oracles, "bias_thinning_mc", reached)
         monkeypatch.setattr(cli.oracles, "variance_gap_mc", reached)
         monkeypatch.setattr(cli, "run_round", reached)
