@@ -12,7 +12,6 @@ import argparse
 import io
 import math
 import os
-import struct
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -125,12 +124,13 @@ def _write_report(
 # the most jumps one component may be expected to draw. `estimate` pools
 # every rep's jump sizes: about 240 MB at the 24 bytes a jump costs it
 # (times, sizes, pooled sizes). `simulate`'s W workers, one a CPU and at most
-# one a block, each hold one block, and its parent writes each block in its
-# turn, holding at most 2W - 1 that come early, so for it the bound limits a
+# one a block, each hold one block, and its parent keeps at most 2W blocks
+# submitted past the last one written, so for it the bound limits a
 # component's jump rows in paths.csv: about 470 MB at about 47 bytes a row.
-# gap-study applies it to one oracle block. It is also the most reps simulate
-# and estimate draw, since at jump_rate 0 no jump count bounds them: 80 MB of
-# simulate's terminal values a component, which its parent keeps
+# gap-study applies it to one oracle block. It is also the most reps
+# simulate, estimate and gap-study draw, since at jump_rate 0 no jump count
+# bounds them: 80 MB a component of simulate's one array of terminal values,
+# which its parent keeps
 MAX_EXPECTED_JUMPS = 10**7
 
 
@@ -187,65 +187,34 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-# the most paths.csv bytes in one message from a simulate worker: its parent
-# writes a block that arrives in its turn message by message
-_CHUNK = 1 << 18
+# what simulate's workers draw from: its components, horizon and plan, set
+# in each by _start_worker, so that fork hands them over and nothing of
+# darkspec is pickled
+_work = None
 
 
-def _simulate_worker(components, horizon: float, plan, tasks: int, handout: int,
-                     writer, readers) -> None:
-    """Draw and format the blocks of ``plan``, each a (component index, seed,
-    n, first path index), whose indices come down the shared pipe ``tasks``
-    8 bytes at a time, until it ends. Each block goes down ``writer`` as its
-    index and size, its paths.csv bytes in messages of at most _CHUNK bytes,
-    and its terminal values. A fault sends an empty message, which none of
-    these is, and then its error text."""
-    os.close(handout)  # inherited through fork: the pipe ends when the parent closes it
-    for reader in readers:  # inherited through fork: only the parent reads
-        reader.close()
-    try:
-        while task := os.read(tasks, 8):
-            i = int.from_bytes(task, "little")
-            index, seed, n, first = plan[i]
-            block = simulate_block(components[index], horizon, seed, n)
-            with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as text:
-                write_paths_csv(block.paths(), text, first)
-                text.flush()
-                with text.buffer.getbuffer() as data:
-                    writer.send_bytes(struct.pack("<qq", i, len(data)))
-                    for at in range(0, len(data), _CHUNK):
-                        writer.send_bytes(data[at:at + _CHUNK])
-            writer.send_bytes(block.terminal_values)
-            del block  # not alive while the next one is drawn
-    except BaseException as exc:
-        try:
-            writer.send_bytes(b"")
-            writer.send_bytes(_error_text(exc).encode("utf-8", "backslashreplace"))
-        except OSError:  # the parent has stopped reading
-            pass
+def _start_worker(components, horizon: float, plan) -> None:
+    global _work
+    _work = (components, horizon, plan)
 
 
-def _receive(reader, worker, block_done: bool = False) -> bytes | None:
-    """The next message from ``worker``; None if it has ended with exit code 0
-    and ``block_done``, so between blocks. Its fault, or any other end, is a
-    DarkspecError."""
-    try:
-        data = reader.recv_bytes()
-        if not data:
-            raise DarkspecError(reader.recv_bytes().decode("utf-8"))
-    except EOFError:
-        worker.join()
-        if block_done and worker.exitcode == 0:
-            return None
-        raise DarkspecError(
-            f"a simulate worker ended with exit code {worker.exitcode} before its last block"
-        ) from None
-    return data
+def _draw_block(i: int):
+    """The paths.csv bytes and the terminal values of block ``i`` of the
+    plan, a (component index, seed, n, first path index)."""
+    components, horizon, plan = _work
+    index, seed, n, first = plan[i]
+    block = simulate_block(components[index], horizon, seed, n)
+    with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as text:
+        write_paths_csv(block.paths(), text, first)
+        text.flush()
+        return text.buffer.getvalue(), block.terminal_values
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     import multiprocessing
-    from multiprocessing.connection import wait
+    from collections import deque
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     import numpy as np
     start = time.perf_counter()
     specs, horizon = _paths_inputs(cfg)
@@ -257,85 +226,37 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         for seed, n in block_seeds(component.component_id, cfg.seed, cfg.reps):
             plan.append((index, seed, n, first))
             first += n
-    # the parent hands out block indices in stream order down one pipe, at
-    # most 2W past the last block written, and each of the W workers takes
-    # the next whenever it is free, so a worker that runs slower (its CPU
-    # shared, say) holds no other back. The parent writes each block in its
-    # turn as it arrives and keeps a block that arrives early, at most 2W - 1
-    # of them, until its turn; it keeps only the terminal values, 8 bytes a
-    # path, for the moment rows. Each worker holds one block, and the bytes
+    # the parent submits block indices in stream order to W forked workers,
+    # at most 2W past the last block written, and each worker takes the next
+    # whenever it is free, so a worker that runs slower (its CPU shared, say)
+    # holds no other back. The parent writes each block in its turn, keeping
+    # at most 2W - 1 that come early, and copies its terminal values into one
+    # array for the moment rows. Each worker holds one block, and the bytes
     # do not depend on W or on which worker draws which block.
     workers = min(_worker_count(), len(plan))
     ahead = 2 * workers
-    terminal_blocks = [[] for _ in components]
+    terminal_values = np.empty((len(components), cfg.reps))
     cfg.out.mkdir(parents=True, exist_ok=True)
-    with open(cfg.out / "paths.csv", "wb") as out:
-        context = multiprocessing.get_context("fork")
-        # the parent keeps its own read end of `tasks` open, so that handing
-        # out never fails for want of a reader: a dead worker is reported by
-        # its exit code. At most 2W indices, 8 bytes each, wait in the pipe
-        tasks, handout = os.pipe()
-        live = {}  # each running worker by the read end of its pipe
-        # a forked child flushes its copy of any buffered output when it exits
-        sys.stdout.flush()
-        sys.stderr.flush()
-        try:
-            for _ in range(workers):
-                reader, writer = context.Pipe(duplex=False)
-                proc = context.Process(
-                    target=_simulate_worker,
-                    args=(components, horizon, plan, tasks, handout, writer, [*live, reader]),
-                )
-                proc.start()
-                live[reader] = proc
-                writer.close()  # the worker's end: EOF once the worker is gone
-            handed = written = 0
-            early = {}  # blocks that came before their turn: index -> (chunks, terminal values)
-            while written < len(plan):
-                while handed < min(len(plan), written + ahead):
-                    os.write(handout, handed.to_bytes(8, "little"))
-                    handed += 1
-                if handed == len(plan) and handout >= 0:
-                    os.close(handout)  # each worker ends once the pipe is empty
-                    handout = -1
-                if not live:
-                    raise DarkspecError("simulate's workers ended before its last block")
-                for reader in wait(list(live)):
-                    proc = live[reader]
-                    header = _receive(reader, proc, block_done=True)
-                    if header is None:  # ended after its last block, and joined
-                        del live[reader]
-                        reader.close()
-                        continue
-                    i, size = struct.unpack("<qq", header)
-                    chunks = []
-                    while size > 0:
-                        chunk = _receive(reader, proc)
-                        size -= len(chunk)
-                        if i == written:
-                            out.write(chunk)
-                        else:
-                            chunks.append(chunk)
-                    early[i] = (chunks, _receive(reader, proc))
-                    while written in early:
-                        chunks, terminals = early.pop(written)
-                        out.writelines(chunks)
-                        terminal_blocks[plan[written][0]].append(np.frombuffer(terminals))
-                        written += 1
-        except BaseException:
-            for proc in live.values():
-                proc.kill()
-            raise
-        finally:
-            os.close(tasks)
-            if handout >= 0:
-                os.close(handout)
-            for reader, proc in live.items():
-                reader.close()
-                proc.join()
+    # a forked child flushes its copy of any buffered output when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(components, horizon, plan))
+    try:
+        with open(cfg.out / "paths.csv", "wb") as out:
+            pending = deque(pool.submit(_draw_block, i) for i in range(min(ahead, len(plan))))
+            for i, (_, _, n, first) in enumerate(plan):
+                data, values = pending.popleft().result()
+                out.write(data)
+                terminal_values.flat[first:first + n] = values
+                if i + ahead < len(plan):
+                    pending.append(pool.submit(_draw_block, i + ahead))
+    except BrokenProcessPool:
+        raise DarkspecError("a simulate worker ended before its last block") from None
+    finally:
+        pool.shutdown(cancel_futures=True)  # after a fault, no block still waiting is drawn
     rows = []
-    for component, blocks in zip(components, terminal_blocks):
-        terminals = np.concatenate(blocks)
+    for component, terminals in zip(components, terminal_values):
         mean, variance = theoretical_moments(component, horizon)
         emp_mean = float(np.mean(terminals))
         se = (
@@ -413,11 +334,12 @@ def cmd_estimate(cfg: ExperimentConfig) -> int:
 
 def cmd_gap_study(cfg: ExperimentConfig) -> int:
     start = time.perf_counter()
-    # the variance oracle's sample variance needs two reps; the bias oracle
-    # counts them in an int64
-    if not 2 <= cfg.reps <= 2**63 - 1:
+    # the variance oracle's sample variance needs two reps; the oracles' time
+    # grows with them, so they share simulate's and estimate's bound
+    if not 2 <= cfg.reps <= MAX_EXPECTED_JUMPS:
         raise ConfigError(
-            f"key 'reps' must be from 2 to 2**63 - 1 under gap-study, got {cfg.reps}"
+            f"key 'reps' must be from 2 to {MAX_EXPECTED_JUMPS:.0e} under gap-study, "
+            f"got {cfg.reps}"
         )
     specs = parse_components(cfg.values, need_variance=True)  # the variance-gap formula
     pis = detection_profile(specs)  # validates pi before any simulation

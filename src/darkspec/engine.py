@@ -89,6 +89,10 @@ class LossWeights:
     phi: float = 1.0
 
     def __post_init__(self):
+        for name in ("d1", "d2", "phi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if not self.d1 > 0.0 or not self.d2 > 0.0:
             raise ParameterError("moment penalties d1 and d2 must be > 0")
 
@@ -127,6 +131,10 @@ class NarrativeQuality:
     eta: float
 
     def __post_init__(self):
+        for name in ("sigma2_max", "sigma2_min", "eta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if not 0.0 < self.sigma2_min < self.sigma2_max:
             raise ParameterError(
                 f"need sigma2_max > sigma2_min > 0, got {self.sigma2_max}, {self.sigma2_min}"

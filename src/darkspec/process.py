@@ -10,10 +10,11 @@ from one generator, :func:`sample_path` is its one-path case, and
 :func:`block_seeds` lays out the one stream of n paths under a root seed:
 each block's ``(seed, n)``, its seed from :func:`derive_seed` so that blocks
 are order-independent. :func:`sample_blocks` draws that stream in order; the
-``simulate`` command splits it among forked worker processes, each taking
-the next block handed out whenever it is free, while the parent writes the
-blocks in stream order, so the bytes do not depend on the number of workers
-W or on which worker draws which block, and each worker holds one block.
+``simulate`` command submits its blocks to a pool of W forked worker
+processes, at most 2W past the last block written, while the parent writes
+the blocks in stream order and copies their terminal values into one array,
+so the bytes do not depend on W or on which worker draws which block, and
+each worker holds one block.
 A block holds its paths in flat arrays; :meth:`PathBlock.paths` views them
 as one :class:`PathSample` per path. :func:`write_paths_csv` writes paths as
 CSV rows; called once per block with the running path index as ``start``, it

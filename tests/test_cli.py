@@ -621,19 +621,39 @@ def log_draws(monkeypatch, log):
 
 
 def log_workers(monkeypatch, log):
-    """Patch simulate's worker loop to append each worker's pid to the file
-    ``log`` as it starts; returns a function that lists the pids logged."""
+    """Patch simulate's worker initializer, which runs once in each worker as
+    it starts, to append the worker's pid to the file ``log``; returns a
+    function that lists the pids logged."""
     import darkspec.cli as cli
 
-    run = cli._simulate_worker
+    start = cli._start_worker
 
     def logged(*args):
         with open(log, "a", encoding="utf-8") as out:
             out.write(f"{os.getpid()}\n")
-        run(*args)
+        start(*args)
 
-    monkeypatch.setattr(cli, "_simulate_worker", logged)
+    monkeypatch.setattr(cli, "_start_worker", logged)
     return lambda: log.read_text(encoding="utf-8").split()
+
+
+def fault_second_block(monkeypatch, fault):
+    """Patch simulate's per-block draw so that the stream's second block
+    raises a DomainError (``fault`` "raise") or ends its worker with exit
+    code 1 ("exit")."""
+    import darkspec.cli as cli
+    from darkspec.errors import DomainError
+
+    faulty_seed = derive_seed(1, "a", 1)
+
+    def faulty(component, horizon, seed, n):
+        if seed == faulty_seed:
+            if fault == "raise":
+                raise DomainError("the second block faulted")
+            os._exit(1)
+        return simulate_block(component, horizon, seed, n)
+
+    monkeypatch.setattr(cli, "simulate_block", faulty)
 
 
 class Hung(BaseException):
@@ -766,33 +786,34 @@ assert cli.main(["simulate", "--config", {SIMULATE_SCENARIO!r}, "--out", {str(tm
         # capfd, not capsys, so that what a worker writes is seen too
         import signal
 
-        import darkspec.cli as cli
-        from darkspec.errors import DomainError
-
-        faulty_seed = derive_seed(1, "a", 1)
-
-        def faulty(component, horizon, seed, n):
-            if seed == faulty_seed:
-                if fault == "raise":
-                    raise DomainError("the second block faulted")
-                os._exit(1)
-            return simulate_block(component, horizon, seed, n)
-
         def hung(*_):
             raise Hung
 
-        monkeypatch.setattr(cli, "simulate_block", faulty)
+        fault_second_block(monkeypatch, fault)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
             expect_one_error_line(
                 capfd, ["simulate", "--config", SIMULATE_SCENARIO, "--out", str(tmp_path)],
-                "the second block faulted" if fault == "raise" else "exit code 1",
+                "the second block faulted" if fault == "raise" else "a simulate worker ended",
             )
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fault", [None, "raise", "exit"])
+    def test_simulate_leaves_no_thread_or_child(self, tmp_path, monkeypatch, fault):
+        # the worker pool runs threads in the parent besides its workers:
+        # simulate returns with each of them ended, whether it passes or not
+        import threading
+
+        if fault:
+            fault_second_block(monkeypatch, fault)
+        before = threading.enumerate(), multiprocessing.active_children()
+        argv = ["simulate", "--config", SIMULATE_SCENARIO, "--out", str(tmp_path)]
+        assert main(argv) == (2 if fault else 0)
+        assert (threading.enumerate(), multiprocessing.active_children()) == before
 
 
 class TestReadmeExample:
@@ -1104,10 +1125,13 @@ class TestBadInput:
          + "reps = 10000001\n", "'reps'"),
         ("estimate", SIMULATE_MC.replace("jump_rate = 2.0", "jump_rate = 0.0")
          + "reps = 10000001\n", "'reps'"),
+        ("gap-study", GAP_FULL_DETECTION + "reps = 10000001\n", "'reps'"),
+        ("gap-study", GAP_FULL_DETECTION + f"reps = {2**63 - 1}\n", "'reps'"),
     ], ids=["simulate-variance", "gap-study-variance", "round-lambda-hat", "round-window",
             "simulate-commencement", "simulate-seed-negative", "gap-study-seed-negative",
             "gap-study-reps-1", "estimate-empty-window", "estimate-window-overflow",
-            "simulate-reps-past-bound", "estimate-reps-past-bound"])
+            "simulate-reps-past-bound", "estimate-reps-past-bound",
+            "gap-study-reps-past-bound", "gap-study-reps-2**63-1"])
     def test_rejected_before_any_draw_or_round(self, tmp_path, capsys, monkeypatch,
                                                scenario_paths, command, config, key):
         import darkspec.cli as cli

@@ -118,6 +118,17 @@ class TestStatisticalLoss:
         assert (loss == 0.0) == all(g1 == 0.0 and g2 == 0.0 for g1, g2 in gaps)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["d1", "d2", "phi", "sigma2_max", "sigma2_min", "eta"])
+def test_loss_and_quality_parameters_must_be_finite(field, value):
+    if field in ("d1", "d2", "phi"):
+        make, args = LossWeights, {}
+    else:
+        make, args = NarrativeQuality, {"sigma2_max": 5.0, "sigma2_min": 1.0, "eta": 0.2}
+    with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+        make(**{**args, field: value})
+
+
 class TestConstantGate:
     def test_zero_costs_would_continue(self):
         costs = CostModel.constant(c_write=1e-9, c_spec=1e-9)
