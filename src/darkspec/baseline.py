@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, require
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,10 @@ class ImprovingDetection:
             raise ParameterError(
                 f"need 0 < pi_1 < pi_max < 1, got pi_1={self.pi_1}, pi_max={self.pi_max}"
             )
-        if self.psi <= 0.0:
-            raise ParameterError(f"psi must be > 0, got {self.psi}")
+        require("psi", self.psi, "(0, inf)")
 
     def detection(self, round_index: int) -> float:
-        if round_index < 1:
-            raise DomainError(f"round must be >= 1, got {round_index}")
+        require("round", round_index, "[1, inf)", DomainError)
         return self.pi_max - math.exp(-self.psi * (round_index - 1)) * self.pi_1
 
 
@@ -82,8 +80,7 @@ def delta_benefit(
     improving analyst still misses of the round's loss rate, per unit of
     expected process duration.
     """
-    if expected_duration <= 0.0:
-        raise DomainError(f"expected_duration must be > 0, got {expected_duration}")
+    require("expected_duration", expected_duration, "(0, inf)", DomainError)
     missed = 1.0 - profile.detection(round_index)
     return missed * lambda_hat * xi_hat / expected_duration
 

@@ -40,7 +40,7 @@ from .engine import (
     run_round,
     write_ledger,
 )
-from .errors import ConfigError, DarkspecError, DomainError, NarrativeSyntaxError
+from .errors import ConfigError, DarkspecError, DomainError, NarrativeSyntaxError, require
 from .estimation import (
     estimate_from_observation,
     read_estimates_csv,
@@ -343,9 +343,8 @@ def cmd_gap_study(cfg: ExperimentConfig) -> int:
         )
     specs = parse_components(cfg.values, need_variance=True)  # the variance-gap formula
     pis = detection_profile(specs)  # validates pi before any simulation
-    window = _as_float(cfg.values, "window", 1.0)
-    if not window > 0.0:
-        raise ConfigError(f"key 'window' must be > 0, got {cfg.values['window']!r}")
+    window = require("key 'window'", _as_float(cfg.values, "window", 1.0), "(0, inf)",
+                     ConfigError)
     block = min(cfg.reps, oracles.ORACLE_BLOCK)  # the reps the oracles hold at once
     for spec in specs:
         _check_expected_jumps(spec.component, window, block, "window")

@@ -9,7 +9,6 @@ grammar is an error, so a misspelt key cannot fall back to a default.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,7 @@ from .engine import (
     RoundBenefits,
     UnderwritingResult,
 )
-from .errors import ConfigError, DomainError, ParameterError
+from .errors import ConfigError, DomainError, ParameterError, require
 from .process import LevyComponent
 from .severity import (
     Degenerate,
@@ -90,9 +89,7 @@ def _as_float(values: Mapping[str, str], key: str, default: float | None = None)
         value = float(values[key])
     except ValueError:
         raise ConfigError(f"key {key!r} must be a number, got {values[key]!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"key {key!r} must be a finite number, got {values[key]!r}")
-    return value
+    return require(f"key {key!r}", value, error=ConfigError)
 
 
 def _as_int(values: Mapping[str, str], key: str, default: int | None = None) -> int:
@@ -189,8 +186,9 @@ def _severity_from(
     arguments = [_as_float(values, key) for key in keys]
     with naming_keys(*keys):
         severity = build(*arguments)
-        if need_variance:
-            severity.variance()  # raises where the second moment diverges
+        require("severity mean", severity.mean(), "[0, inf)")
+        if need_variance:  # variance() raises where the second moment diverges
+            require("severity variance", severity.variance(), "[0, inf)")
     return severity
 
 
@@ -229,9 +227,8 @@ def parse_components(
         pi = None
         if f"{prefix}.pi" in values:
             pi = _as_float(values, f"{prefix}.pi")
-        sigma_eps = _as_float(values, f"{prefix}.sigma_eps", 0.0)
-        if sigma_eps < 0.0:
-            raise ConfigError(f"key '{prefix}.sigma_eps' must be >= 0, got {sigma_eps}")
+        key = f"{prefix}.sigma_eps"
+        sigma_eps = require(f"key {key!r}", _as_float(values, key, 0.0), "[0, inf)", ConfigError)
         specs.append(ComponentSpec(component=component, pi=pi, sigma_eps=sigma_eps))
     return specs
 
@@ -242,9 +239,7 @@ def detection_profile(specs: list[ComponentSpec]) -> tuple[float, ...]:
         cid, pi = spec.component.component_id, spec.pi
         if pi is None:
             raise ConfigError(f"component {cid!r} needs a 'pi' for a gap study")
-        if not 0.0 <= pi <= 1.0:
-            raise ConfigError(f"key 'component.{cid}.pi': detection probability must lie "
-                              f"in [0, 1], got {pi}")
+        require(f"key 'component.{cid}.pi'", pi, "[0, 1]", ConfigError)
     return tuple(spec.pi for spec in specs)
 
 
@@ -309,22 +304,12 @@ def _underwriting(values: Mapping[str, str], prefix: str) -> UnderwritingResult:
     """One round's underwriting values, checked against the bounds its risk
     estimate enforces, so that a bad round stops the run before round 1 and
     the message names its key."""
-    underwriting = UnderwritingResult(
-        lambda_hat=_as_float(values, f"{prefix}.lambda_hat"),
-        xi_hat=_as_float(values, f"{prefix}.xi_hat"),
-        severity_variance=_as_float(values, f"{prefix}.severity_var", 0.0),
-        window=_as_float(values, f"{prefix}.window", 1.0),
-    )
-    for key, value in (
-        ("lambda_hat", underwriting.lambda_hat),
-        ("xi_hat", underwriting.xi_hat),
-        ("severity_var", underwriting.severity_variance),
-    ):
-        if value < 0.0:
-            raise ConfigError(f"key '{prefix}.{key}' must be >= 0, got {value}")
-    if not underwriting.window > 0.0:
-        raise ConfigError(f"key '{prefix}.window' must be > 0, got {underwriting.window}")
-    return underwriting
+    def read(name: str, default: float | None = None, interval: str = "[0, inf)") -> float:
+        key = f"{prefix}.{name}"
+        return require(f"key {key!r}", _as_float(values, key, default), interval, ConfigError)
+
+    return UnderwritingResult(read("lambda_hat"), read("xi_hat"), read("severity_var", 0.0),
+                              read("window", 1.0, "(0, inf)"))
 
 
 def scripted_rounds(values: Mapping[str, str]) -> list[ScriptedRound]:
@@ -371,13 +356,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in _EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if self.reps < 1:
-            raise ConfigError(f"reps must be >= 1, got {self.reps}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        require("reps", self.reps, "[1, inf)", ConfigError)
+        require("seed", self.seed, "[0, inf)", ConfigError)
         # a relative tolerance past 1 would accept an oracle of either sign
-        if not 0.0 < self.tolerance <= 1.0:
-            raise ConfigError(f"tolerance must lie in (0, 1], got {self.tolerance}")
+        require("tolerance", self.tolerance, "(0, 1]", ConfigError)
         referenced = list(self.files)
         if self.values.get("observed_csv"):
             referenced.append(self.values["observed_csv"])

@@ -22,7 +22,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, get_args, get_origin, get_type_hints
 
-from .errors import DomainError, NarrativeInvalidError, ParameterError, RoundAbortedError
+from .errors import DomainError, NarrativeInvalidError, ParameterError, RoundAbortedError, require
 from .estimation import EstimateSource, PKREResult, RiskEstimate, _check_unique, _pkre, _units
 from .estimation import compute_pkre  # unused here; perfbench/tracer.py wraps this name
 from .narrative import Narrative, validate
@@ -45,14 +45,10 @@ class CostModel:
     c_obs: float = 0.0
 
     def __post_init__(self):
-        if not self.c_write > 0.0 or not math.isfinite(self.c_write):
-            raise ParameterError(f"c_write must be > 0, got {self.c_write}")
-        if self.c_obs < 0.0 or not math.isfinite(self.c_obs):
-            raise ParameterError(f"c_obs must be >= 0, got {self.c_obs}")
-        if not self.variable and not 0.0 < self.c_spec < math.inf:
-            raise ParameterError(
-                f"constant cost mode needs a finite c_spec > 0, got {self.c_spec}"
-            )
+        require("c_write", self.c_write, "(0, inf)")
+        require("c_obs", self.c_obs, "[0, inf)")
+        if not self.variable:
+            require("c_spec", self.c_spec, "(0, inf)")
 
     @property
     def variable(self) -> bool:
@@ -68,8 +64,7 @@ class CostModel:
 
     def speculation_cost(self, happening_count: int) -> float:
         if self.variable:
-            if happening_count < 1:
-                raise DomainError(f"happening count must be >= 1, got {happening_count}")
+            require("happening count", happening_count, "[1, inf)", DomainError)
             return math.log1p(happening_count)
         return float(self.c_spec)
 
@@ -89,12 +84,9 @@ class LossWeights:
     phi: float = 1.0
 
     def __post_init__(self):
-        for name in ("d1", "d2", "phi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
-        if not self.d1 > 0.0 or not self.d2 > 0.0:
-            raise ParameterError("moment penalties d1 and d2 must be > 0")
+        require("d1", self.d1, "(0, inf)")
+        require("d2", self.d2, "(0, inf)")
+        require("phi", self.phi)
 
     def psi(self, gap: float) -> float:
         scaled = self.phi * gap
@@ -131,20 +123,16 @@ class NarrativeQuality:
     eta: float
 
     def __post_init__(self):
-        for name in ("sigma2_max", "sigma2_min", "eta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
+        require("sigma2_max", self.sigma2_max)
+        require("sigma2_min", self.sigma2_min)
+        require("eta", self.eta, "(0, inf)")
         if not 0.0 < self.sigma2_min < self.sigma2_max:
             raise ParameterError(
                 f"need sigma2_max > sigma2_min > 0, got {self.sigma2_max}, {self.sigma2_min}"
             )
-        if not self.eta > 0.0:
-            raise ParameterError(f"eta must be > 0, got {self.eta}")
 
     def noise_variance(self, happening_count: int) -> float:
-        if happening_count < 1:
-            raise DomainError(f"happening count must be >= 1, got {happening_count}")
+        require("happening count", happening_count, "[1, inf)", DomainError)
         raw = self.sigma2_max - math.exp(self.eta * (happening_count - 1)) * self.sigma2_min
         return min(max(raw, 0.0), self.sigma2_max - self.sigma2_min)
 
@@ -175,8 +163,7 @@ def continuation(
     """True (speculate) iff c_write + the cost model's speculation cost (plus
     the concave crowding term ln(R + 2) - ln(R + 1) in variable-cost mode) <=
     summed deltas. A stop is reversible; a later round may continue again."""
-    if round_index < 1:
-        raise DomainError(f"round index must be >= 1, got {round_index}")
+    require("round index", round_index, "[1, inf)", DomainError)
     lhs = costs.c_write + costs.speculation_cost(happening_count)
     if costs.variable:
         lhs += math.log(round_index + 2) - math.log(round_index + 1)
@@ -213,8 +200,7 @@ class RedLineConfig:
     nu_star: float
 
     def __post_init__(self):
-        if not self.nu_star > 0.0 or not math.isfinite(self.nu_star):
-            raise ParameterError(f"nu_star must be a positive finite real, got {self.nu_star}")
+        require("nu_star", self.nu_star, "(0, inf)")
 
 
 def red_line_check(total: float, config: RedLineConfig) -> bool:
@@ -238,8 +224,7 @@ def hyperanxiety_avoidance(
     the left side is a probability and the right a loss-scaled quantity, a
     dimensional mismatch that is kept as stated rather than patched.
     """
-    if round_index < 1:
-        raise DomainError(f"round index must be >= 1, got {round_index}")
+    require("round index", round_index, "[1, inf)", DomainError)
     rhs = (lambda_dot * z_dot - prior_pkre) / round_index - config.nu_star
     return (1.0 - pi) > rhs
 
@@ -253,8 +238,7 @@ def community_precision_condition(
     size has a negative derivative and can never satisfy this with a
     positive prior rate; that tension is deliberately left in place.
     """
-    if round_index < 1:
-        raise DomainError(f"round index must be >= 1, got {round_index}")
+    require("round index", round_index, "[1, inf)", DomainError)
     return dlambda_dbeta > lambda_prev / round_index
 
 
@@ -280,10 +264,9 @@ def optimal_stopping_brute(
         raise DomainError(
             f"horizon must be between 1 and {MAX_STOPPING_HORIZON} rounds, got {horizon}"
         )
-    if not 0.0 < rho <= 1.0:
-        raise DomainError(f"discount rho must lie in (0, 1], got {rho}")
-    if any(not math.isfinite(u) for u in utilities):
-        raise DomainError("utilities must be finite")
+    require("discount rho", rho, "(0, 1]", DomainError)
+    for u in utilities:
+        require("utilities", u, error=DomainError)
     values = [0.0]
     running = 0.0
     discount = 1.0

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`require`, the one
+range check every model, reader and command applies to its numbers."""
 
 
 class DarkspecError(Exception):
@@ -51,3 +52,18 @@ class RoundAbortedError(DarkspecError, RuntimeError):
 
 class ConfigError(DarkspecError, ValueError):
     """An experiment configuration file is missing, malformed, or inconsistent."""
+
+
+def require(name: str, value, interval: str = "(-inf, inf)", error=ParameterError):
+    """``value`` if it lies in ``interval``, else ``error`` naming ``name``.
+
+    ``interval`` is written as the message prints it, such as ``"[0, inf)"``
+    or ``"(0, 1]"``. An infinite end is always written open, so the same two
+    comparisons refuse nan, inf and -inf.
+    """
+    low, high = map(float, interval[1:-1].split(","))
+    if (low <= value if interval[0] == "[" else low < value) and (
+        value <= high if interval[-1] == "]" else value < high
+    ):
+        return value
+    raise error(f"{name} must lie in {interval}, got {value!r}")

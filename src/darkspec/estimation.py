@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Sequence
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, require
 from .process import csv_line
 
 
@@ -48,18 +48,12 @@ class RiskEstimate:
     total_loss: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.window < math.inf:
-            raise DomainError(f"window must be finite and > 0, got {self.window}")
-        if not 0.0 <= self.lambda_hat < math.inf:
-            raise ParameterError(f"lambda_hat must be finite and >= 0, got {self.lambda_hat}")
-        if not 0.0 <= self.severity_variance < math.inf:
-            raise ParameterError(
-                f"severity_variance must be finite and >= 0, got {self.severity_variance}"
-            )
-        if self.n_events < 0:
-            raise ParameterError(f"n_events must be >= 0, got {self.n_events}")
-        if self.xi_hat is not None and not 0.0 <= self.xi_hat < math.inf:
-            raise ParameterError(f"xi_hat must be finite and >= 0, got {self.xi_hat}")
+        require("window", self.window, "(0, inf)", DomainError)
+        require("lambda_hat", self.lambda_hat, "[0, inf)")
+        require("severity_variance", self.severity_variance, "[0, inf)")
+        require("n_events", self.n_events, "[0, inf)")
+        if self.xi_hat is not None:
+            require("xi_hat", self.xi_hat, "[0, inf)")
         if self.source is EstimateSource.OBSERVED_HISTORY:
             if self.lambda_hat != self.n_events / self.window:
                 raise ParameterError(
@@ -83,8 +77,7 @@ def estimate_from_observation(
 ) -> RiskEstimate:
     """Build an observed-history estimate from one window of jump data."""
     import numpy as np
-    if window <= 0.0:
-        raise DomainError(f"window must be > 0, got {window}")
+    require("window", window, "(0, inf)", DomainError)
     sizes = np.asarray(jump_sizes, dtype=float)
     n = len(sizes)
     if n == 0:
@@ -135,8 +128,7 @@ def jump_loss_variance(
 
     rate * (mean^2 + variance) / window, the compound-process second moment.
     """
-    if window <= 0.0:
-        raise DomainError(f"window must be > 0, got {window}")
+    require("window", window, "(0, inf)", DomainError)
     return lambda_hat * (xi_hat * xi_hat + severity_variance) / window
 
 
@@ -239,8 +231,8 @@ def _cell(row: dict, column: str, parse):
         value = parse(text)
     except ValueError:
         raise DomainError(f"column {column!r}: cannot parse {text!r}") from None
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DomainError(f"column {column!r} must be finite, got {text!r}")
+    if isinstance(value, float):
+        require(f"column {column!r}", value, error=DomainError)
     return value
 
 

@@ -37,7 +37,7 @@ from .errors import (
     MitigationInvalidError,
     NarrativeInvalidError,
     NarrativeSyntaxError,
-    ParameterError,
+    require,
 )
 from .estimation import RiskEstimate, expected_jump_loss
 
@@ -80,8 +80,7 @@ class Happening:
     actualized: bool = False
 
     def __post_init__(self):
-        if self.stage < 1:
-            raise ParameterError(f"stage must be >= 1, got {self.stage}")
+        require("stage", self.stage, "[1, inf)")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .severity import SeverityDistribution
 
 if TYPE_CHECKING:
@@ -64,8 +64,8 @@ def bias_thinning_mc(
         raise DomainError("loss_rates and pis must align")
     if not 1 <= reps <= 2**63 - 1:  # the inclusion cells count reps in an int64
         raise DomainError(f"reps must be from 1 to 2**63 - 1, got {reps}")
-    if not all(0.0 <= pi <= 1.0 for pi in pis):  # also rejects NaN before any draw
-        raise DomainError(f"every pi must lie in [0, 1], got {list(pis)!r}")
+    for pi in pis:
+        require("every pi", pi, "[0, 1]", DomainError)
     counts, gaps = _inclusion_cells(loss_rates, pis, reps, np.random.default_rng(seed))
     value = float(counts @ gaps) / reps
     se = math.sqrt(float(counts @ (gaps - value) ** 2) / (reps - 1) / reps) if reps > 1 else 0.0
@@ -127,12 +127,10 @@ def variance_gap_mc(
     if reps < 2:
         raise DomainError("reps must be >= 2")
     noise = sigma_eps if sigma_eps is not None else [0.0] * k
-    if not 0.0 < window < math.inf:
-        raise DomainError(f"window must be finite and > 0, got {window!r}")
-    if not all(0.0 <= pi <= 1.0 for pi in pis):
-        raise DomainError(f"every pi must lie in [0, 1], got {list(pis)!r}")
-    if not all(0.0 <= s < math.inf for s in noise):
-        raise DomainError(f"every sigma_eps must be finite and >= 0, got {list(noise)!r}")
+    require("window", window, "(0, inf)", DomainError)
+    for pi, s_eps in zip(pis, noise):
+        require("every pi", pi, "[0, 1]", DomainError)
+        require("every sigma_eps", s_eps, "[0, inf)", DomainError)
     count, mean, m2 = 0, np.zeros(3), np.zeros(3)
     for x in _gap_blocks(jump_rates, severities, pis, noise, window, reps, seed):
         n, block_mean = x.shape[1], x.mean(axis=1)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, require
 from .severity import Mixture, SeverityDistribution
 
 if TYPE_CHECKING:
@@ -70,16 +70,10 @@ class LevyComponent:
     commencement: float = 0.0
 
     def __post_init__(self):
-        for name in ("drift", "diffusion", "jump_rate", "commencement"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
-        if self.diffusion < 0.0:
-            raise ParameterError(f"diffusion must be >= 0, got {self.diffusion}")
-        if self.jump_rate < 0.0:
-            raise ParameterError(f"jump_rate must be >= 0, got {self.jump_rate}")
-        if self.commencement < 0.0:
-            raise ParameterError(f"commencement must be >= 0, got {self.commencement}")
+        require("drift", self.drift)
+        require("diffusion", self.diffusion, "[0, inf)")
+        require("jump_rate", self.jump_rate, "[0, inf)")
+        require("commencement", self.commencement, "[0, inf)")
 
     def reclassify(self, category: RiskCategory) -> "LevyComponent":
         """Move the component forward along sds -> imagined -> observed."""
@@ -148,8 +142,8 @@ def derive_seed(root_seed: int, component_id: str, block_index: int) -> int:
     """Deterministic seed of block ``block_index`` of a component's
     :func:`sample_blocks` stream under one experiment root seed."""
     import numpy as np
-    if root_seed < 0 or block_index < 0:
-        raise DomainError("root_seed and block_index must be nonnegative")
+    require("root_seed", root_seed, "[0, inf)", DomainError)
+    require("block_index", block_index, "[0, inf)", DomainError)
     digest = hashlib.sha256(component_id.encode("utf-8")).digest()
     tag = int.from_bytes(digest[:8], "little")
     ss = np.random.SeedSequence([root_seed, tag, block_index])
@@ -206,8 +200,7 @@ def simulate_block(
         raise DomainError(
             f"horizon {horizon} precedes commencement {component.commencement}"
         )
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    require("n", n, "[0, inf)", DomainError)
     elapsed = horizon - component.commencement
     rng = np.random.default_rng(seed)
     # draw order is part of the determinism contract: every count, then every
@@ -249,8 +242,7 @@ def block_seeds(
     root seed: blocks of PATH_BLOCK paths (the last holds the rest), block b
     seeded with derive_seed's seed for b. :func:`simulate_block` of each gives
     :func:`sample_blocks`' blocks."""
-    if n_paths < 0:
-        raise DomainError("n_paths must be nonnegative")
+    require("n_paths", n_paths, "[0, inf)", DomainError)
     return (
         (derive_seed(root_seed, component_id, b), min(PATH_BLOCK, n_paths - first))
         for b, first in enumerate(range(0, n_paths, PATH_BLOCK))

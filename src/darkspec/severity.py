@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ParameterError, VarianceUndefinedError
+from .errors import ParameterError, VarianceUndefinedError, require
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,28 +35,23 @@ class SeverityDistribution:
         raise NotImplementedError
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (value > 0.0) or not math.isfinite(value):
-        raise ParameterError(f"{name} must be a positive finite real, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Exponential(SeverityDistribution):
     rate: float
 
     def __post_init__(self):
-        _require_positive("rate", self.rate)
+        require("rate", self.rate, "(0, inf)")
 
     @classmethod
     def from_mean(cls, mean: float) -> "Exponential":
-        _require_positive("mean", mean)
-        return cls(rate=1.0 / mean)
+        return cls(rate=1.0 / require("mean", mean, "(0, inf)"))
 
     def mean(self) -> float:
         return 1.0 / self.rate
 
     def variance(self) -> float:
-        return 1.0 / (self.rate * self.rate)
+        square = self.rate * self.rate
+        return 1.0 / square if square else math.inf  # rate * rate can underflow
 
     def sample(self, rng, n):
         return rng.exponential(1.0 / self.rate, n)
@@ -68,17 +63,22 @@ class LogNormal(SeverityDistribution):
     sigma: float
 
     def __post_init__(self):
-        # mu is a log-scale location: any finite real is valid
-        if not math.isfinite(self.mu):
-            raise ParameterError(f"mu must be a finite real, got {self.mu!r}")
-        _require_positive("sigma", self.sigma)
+        require("mu", self.mu)  # a log-scale location: any finite real
+        require("sigma", self.sigma, "(0, inf)")
 
+    # past the float range a moment is inf, for the caller's range check
     def mean(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma**2)
+        try:
+            return math.exp(self.mu + 0.5 * self.sigma**2)
+        except OverflowError:
+            return math.inf
 
     def variance(self) -> float:
-        s2 = self.sigma**2
-        return (math.exp(s2) - 1.0) * math.exp(2.0 * self.mu + s2)
+        try:
+            s2 = self.sigma**2
+            return (math.exp(s2) - 1.0) * math.exp(2.0 * self.mu + s2)
+        except OverflowError:
+            return math.inf
 
     def sample(self, rng, n):
         return rng.lognormal(self.mu, self.sigma, n)
@@ -92,12 +92,8 @@ class Pareto(SeverityDistribution):
     shape: float
 
     def __post_init__(self):
-        _require_positive("scale", self.scale)
-        _require_positive("shape", self.shape)
-        if self.shape <= 1.0:
-            raise ParameterError(
-                f"Pareto shape must exceed 1 for a finite mean, got {self.shape}"
-            )
+        require("scale", self.scale, "(0, inf)")
+        require("shape", self.shape, "(1, inf)")  # a finite mean
 
     def mean(self) -> float:
         return self.shape * self.scale / (self.shape - 1.0)
@@ -120,7 +116,7 @@ class Degenerate(SeverityDistribution):
     value: float
 
     def __post_init__(self):
-        _require_positive("value", self.value)
+        require("value", self.value, "(0, inf)")
 
     def mean(self) -> float:
         return self.value
@@ -145,8 +141,8 @@ class Mixture(SeverityDistribution):
             raise ParameterError("mixture needs at least one component")
         if len(self.components) != len(self.weights):
             raise ParameterError("mixture components and weights differ in length")
-        if any(w < 0.0 or not math.isfinite(w) for w in self.weights):
-            raise ParameterError("mixture weights must be nonnegative finite reals")
+        for w in self.weights:
+            require("mixture weights", w, "[0, inf)")
         total = math.fsum(self.weights)
         if total <= 0.0:
             raise ParameterError("mixture weights must not all be zero")

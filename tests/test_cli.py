@@ -77,6 +77,15 @@ component.a.pi = 1.5
 EXPONENTIAL_A = "component.a.severity = exponential\ncomponent.a.severity_mean = 3.0"
 
 
+# 1 / rate overflows, and rate * rate underflows to 0
+EXPONENTIAL_RATE_A = "component.a.severity = exponential\ncomponent.a.severity_rate = 1e-320"
+
+
+def lognormal_a(mu: float) -> str:
+    return (f"component.a.severity = lognormal\ncomponent.a.severity_mu = {mu}\n"
+            f"component.a.severity_sigma = 1.0")
+
+
 def pareto_a(shape: float) -> str:
     return (f"component.a.severity = pareto\ncomponent.a.severity_scale = 1.0\n"
             f"component.a.severity_shape = {shape}")
@@ -1035,7 +1044,7 @@ class TestBadInput:
              "component.b.sigma_eps = -1.0\n", None, "component.b.sigma_eps"),
             ("gap-study", GAP_BAD_PI, None, "component.a.pi"),
             ("gap-study", GAP_BAD_PI.replace("pi = 1.5", "pi = -0.1"), None,
-             ("key 'component.a.pi': detection probability must lie in [0, 1], got -0.1")),
+             ("key 'component.a.pi' must lie in [0, 1], got -0.1")),
             ("stopping", STOPPING_GEOMETRIC.replace("c_write = 1.0", "c_write = -1.0")
              .replace("rho = 1.0", "rho = 0.9"), None, "cost.c_write"),
             ("run-process", RUN_PROCESS.replace("c_write = 1.0", "c_write = -1.0"), "atlanta",
@@ -1067,6 +1076,17 @@ class TestBadInput:
              + "reps = 1000000000000\n", None, "'reps'"),
             ("estimate", SIMULATE_MC.replace("jump_rate = 2.0", "jump_rate = 0.0")
              + "reps = 1000000000000\n", None, "'reps'"),
+            # a severity moment past the float range names the keys it came from
+            *((command, config.replace(EXPONENTIAL_A, severity), None, key)
+              for severity, key, commands in [
+                  (EXPONENTIAL_RATE_A, "component.a.severity_rate",
+                   ("simulate", "estimate", "gap-study")),
+                  (lognormal_a(1000), "component.a.severity_mu",
+                   ("simulate", "estimate", "gap-study")),
+                  (lognormal_a(700), "component.a.severity_mu", ("simulate", "gap-study")),
+              ]
+              for command in commands
+              for config in [GAP_FULL_DETECTION if command == "gap-study" else SIMULATE_MC]),
         ],
         ids=[
             "utilities-gap", "round-index", "narrative-check-utf8", "run-process-utf8",
@@ -1081,7 +1101,9 @@ class TestBadInput:
             "utilities-with-r-max", "utilities-with-delta-initial", "observed-csv-empty",
             "observed-csv-directory", "unknown-stopping-key", "unknown-component-field",
             "psi-shape-unknown", "severity-family-unknown", "simulate-reps-1e12",
-            "estimate-reps-1e12",
+            "estimate-reps-1e12", "simulate-rate-1e-320", "estimate-rate-1e-320",
+            "gap-study-rate-1e-320", "simulate-mu-1000", "estimate-mu-1000",
+            "gap-study-mu-1000", "simulate-mu-700", "gap-study-mu-700",
         ],
     )
     def test_exit_two_with_one_line(

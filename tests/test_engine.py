@@ -125,7 +125,7 @@ def test_loss_and_quality_parameters_must_be_finite(field, value):
         make, args = LossWeights, {}
     else:
         make, args = NarrativeQuality, {"sigma2_max": 5.0, "sigma2_min": 1.0, "eta": 0.2}
-    with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+    with pytest.raises(ParameterError, match=f"^{field} must lie in "):
         make(**{**args, field: value})
 
 
@@ -574,7 +574,7 @@ class TestLedgerPersistence:
 
     @pytest.mark.parametrize("underwriting, detail", [
         ({"lambda_hat": 1e300, "xi_hat": 1e300}, "the expected loss of 'atlanta-rdd' is inf"),
-        ({"lambda_hat": -1.0}, "lambda_hat must be finite and >= 0, got -1.0"),
+        ({"lambda_hat": -1.0}, "lambda_hat must lie in [0, inf), got -1.0"),
     ], ids=["loss-inf", "negative-rate"])
     def test_a_bad_underwriting_estimate_names_its_line(self, tmp_path, underwriting, detail):
         # a line that decodes but whose estimate the imagined set would refuse

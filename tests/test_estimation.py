@@ -195,9 +195,9 @@ class TestRiskEstimateInvariants:
     def test_every_float_field_is_finite(self, field, value):
         fields = {"lambda_hat": 1.0, "xi_hat": 2.0, "severity_variance": 0.5, "window": 1.0}
         fields[field] = value
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        with pytest.raises(ValueError, match=f"^{field} must lie in "):
             underwritten("k", *fields.values())
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        with pytest.raises(ValueError, match=f"^{field} must lie in "):
             UnderwritingResult(**fields).to_estimate("k", 1)
 
 

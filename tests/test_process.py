@@ -361,7 +361,7 @@ class TestComponentGuards:
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameter_rejected(self, kwarg, name, value):
-        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+        with pytest.raises(ParameterError, match=f"^{name} must lie in "):
             comp(**{kwarg: value})
 
 
